@@ -205,18 +205,3 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
         sidelobe_db=sidelobe_db,
     )
 
-
-def power_sum_overlay(cuts: list[PatternCut]) -> PatternCut:
-    """Incoherent all-beams overlay: root of the summed powers per angle.
-
-    The relative phasing of simultaneously driven ports is not modeled, so
-    this is an envelope, not a coherent pattern.
-    """
-    if not cuts:
-        raise ValueError("need at least one cut")
-    base = cuts[0].angles
-    for c in cuts[1:]:
-        if c.angles.shape != base.shape or not np.allclose(c.angles, base):
-            raise ValueError("cuts must share one angle grid")
-    total = np.sqrt(np.sum([c.magnitude**2 for c in cuts], axis=0))
-    return PatternCut(angles=base, magnitude=total, input_port_label="all-ports")

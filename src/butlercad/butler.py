@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from . import components
+from . import beams, components
 from .microstrip import Substrate
-from .network import ExcitationResult, Netlist, excite
+from .network import ExcitationResult, Netlist, interconnect
 from .sparams import FIDELITY_CIRCUIT, FIDELITY_IDEAL
 
 INPUT_PORT_NAMES = ("1R", "2L", "2R", "1L")
@@ -102,8 +102,28 @@ def progression_deg(amplitudes: np.ndarray) -> float:
 
 
 def excitation_table(net: Netlist, frequency: float) -> dict[str, ExcitationResult]:
-    """Excitation of the array ports for each named input port."""
+    """Excitation of the array ports for each named input port.
+
+    One solve serves all four inputs: column k of the composite's
+    output rows is what ``excite(net, k + 1, frequency)`` returns.
+    """
+    s = interconnect(net, frequency).entries
     return {
-        name: excite(net, k + 1, frequency)
+        name: ExcitationResult(k + 1, s[4:, k].copy(), frequency)
         for k, name in enumerate(INPUT_PORT_NAMES)
     }
+
+
+def beam_table(
+    excitations: dict[str, ExcitationResult], frequency: float
+) -> dict[str, tuple[float, float]]:
+    """Port -> (progression deg, beam angle deg) on a half-wave array at ``frequency``."""
+    geometry = beams.half_wave_geometry(frequency)
+    table = {}
+    for port, res in excitations.items():
+        prog = progression_deg(res.output_amplitudes)
+        # a falling phase across the elements steers the beam to positive
+        # angles, so the steering value entering the arcsin is -progression
+        ang = math.degrees(beams.beam_angle(-math.radians(prog), geometry))
+        table[port] = (prog, ang)
+    return table

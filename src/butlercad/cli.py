@@ -2,7 +2,8 @@
 
 Values with units accept a suffix (``5.2GHz``, ``1.6mm``); bare numbers
 are SI.  A JSON scenario file can pre-load any flag of the invoked
-subcommand; explicit flags win.  Relative output paths land in
+subcommand, keyed by the flag's long name; explicit flags win, and a key
+the subcommand has no flag for is an error.  Relative output paths land in
 ``--outdir``, which defaults to $BUTLERCAD_OUTDIR or the working
 directory.  Runs are deterministic: the same invocation produces the same
 bytes.
@@ -16,17 +17,18 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, antenna, beams, butler, report
 from .errors import ButlerCadError
 from .microstrip import Substrate
-from .network import interconnect
+from .network import Netlist, interconnect
 from .sparams import FIDELITY_CIRCUIT, FIDELITY_IDEAL
-from .touchstone import touchstone_convert, touchstone_write
+from .touchstone import FORMATS, touchstone_convert, touchstone_write
 
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _LEN_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "mil": 25.4e-6}
@@ -63,25 +65,63 @@ def parse_length(value) -> float:
     return _parse_with_units(value, _LEN_UNITS, "length")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Linear frequency sweep for the composite network."""
+def _one_of(*choices: str) -> Callable[[object], str]:
+    """Converter accepting ``choices`` in any letter case; returns the listed spelling."""
+    by_key = {c.lower(): c for c in choices}
 
-    f_start: float
-    f_stop: float
-    n_points: int
-    scale_unit: str = "GHz"
+    def convert(value) -> str:
+        try:
+            return by_key[str(value).lower()]
+        except KeyError:
+            raise CliError(f"{value!r} is not one of {', '.join(choices)}") from None
 
-    def __post_init__(self):
-        if not (self.f_start < self.f_stop):
-            raise CliError("sweep needs f_start < f_stop")
-        if self.n_points < 2:
-            raise CliError("sweep needs at least 2 points")
-        if self.scale_unit.upper() not in ("HZ", "KHZ", "MHZ", "GHZ"):
-            raise CliError(f"unknown sweep unit {self.scale_unit!r}")
+    return convert
 
-    def frequencies(self) -> np.ndarray:
-        return np.linspace(self.f_start, self.f_stop, self.n_points)
+
+def _positive_finite(value) -> float:
+    x = float(value)
+    if not (math.isfinite(x) and x > 0):
+        raise CliError(f"must be a positive finite number, got {value!r}")
+    return x
+
+
+_input_port = _one_of(*butler.INPUT_PORT_NAMES)
+
+
+def _input_ports(value) -> list[str]:
+    return [_input_port(x.strip()) for x in str(value).split(",") if x.strip()]
+
+
+REQUIRED = object()  # default of a flag that must be given
+ARGUMENT = object()  # default of a positional argument, never a scenario key
+
+
+class Flag(NamedTuple):
+    """One entry of a subcommand's table: ``--name``, converter, default, help."""
+
+    name: str
+    convert: Callable[[object], object]
+    default: object
+    help: str
+
+
+OUTDIR = Flag(
+    "outdir", str, None,
+    "directory for relative output paths "
+    "(default $BUTLERCAD_OUTDIR or the working directory)",
+)
+F0 = Flag("f0", parse_frequency, REQUIRED, "design frequency, e.g. 5.2GHz")
+FIDELITY = Flag(
+    "fidelity", _one_of(FIDELITY_IDEAL, FIDELITY_CIRCUIT), FIDELITY_IDEAL,
+    "component models: ideal|circuit",
+)
+# required by design and by circuit fidelity; see _substrate
+ER = Flag("er", float, None, "substrate relative permittivity (design, circuit)")
+H = Flag("h", parse_length, None, "substrate height, e.g. 1.6mm (design, circuit)")
+FORMAT = Flag("format", _one_of(*FORMATS), "RI", "touchstone format RI|MA|DB")
+UNIT = Flag(
+    "unit", _one_of("Hz", "kHz", "MHz", "GHz"), "GHz", "touchstone frequency unit"
+)
 
 
 class _OneLineParser(argparse.ArgumentParser):
@@ -94,50 +134,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _OneLineParser(prog="butlercad", description=__doc__)
     p.add_argument("--version", action="version", version=f"butlercad {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="JSON file pre-loading the flags below")
-    common.add_argument("--outdir", help="directory for relative output paths")
-
-    d = sub.add_parser("design", parents=[common], help="closed-form dimension report")
-    d.add_argument("--freq", help="design frequency, e.g. 5.2GHz")
-    d.add_argument("--er", help="substrate relative permittivity")
-    d.add_argument("--h", help="substrate height, e.g. 1.6mm")
-    d.add_argument("--edge-resistance", help="patch edge resistance, ohm (default 317)")
-    d.add_argument("--json-out", help="also write the JSON report to this path")
-
-    b = sub.add_parser("butler", parents=[common], help="composite 8-port run")
-    b.add_argument("--fidelity", choices=[FIDELITY_IDEAL, FIDELITY_CIRCUIT])
-    b.add_argument("--f0", help="design frequency, e.g. 5.2GHz")
-    b.add_argument("--f-start", help="sweep start")
-    b.add_argument("--f-stop", help="sweep stop")
-    b.add_argument("--n-points", help="sweep point count")
-    b.add_argument("--er", help="substrate permittivity (circuit fidelity)")
-    b.add_argument("--h", help="substrate height (circuit fidelity)")
-    b.add_argument("--ports", help="comma list of input ports (default all four)")
-    b.add_argument("--format", dest="fmt", help="touchstone format RI|MA|DB")
-    b.add_argument("--unit", help="touchstone frequency unit (default GHz)")
-    b.add_argument("--prefix", help="output file prefix (default 'butler')")
-
-    g = sub.add_parser("pattern", parents=[common], help="far-field cut for one port")
-    g.add_argument("--port", help="input port: 1R, 2L, 2R or 1L")
-    g.add_argument("--f0", help="design frequency")
-    g.add_argument("--fidelity", choices=[FIDELITY_IDEAL, FIDELITY_CIRCUIT])
-    g.add_argument("--er", help="substrate permittivity (circuit fidelity)")
-    g.add_argument("--h", help="substrate height (circuit fidelity)")
-    g.add_argument("--spacing", help="element spacing, e.g. 28.83mm (default lambda0/2)")
-    g.add_argument("--element", help="element model: isotropic|cos (default isotropic)")
-    g.add_argument("--step", help="angle grid step in degrees (default 0.05)")
-    g.add_argument("--out", help="CSV output path (default stdout)")
-
-    t = sub.add_parser("touchstone", help="touchstone file utilities")
-    tsub = t.add_subparsers(dest="ts_command", required=True)
-    c = tsub.add_parser("convert", parents=[common], help="rewrite format or unit")
-    c.add_argument("source")
-    c.add_argument("destination")
-    c.add_argument("--format", dest="fmt", help="RI|MA|DB (default RI)")
-    c.add_argument("--unit", help="Hz|kHz|MHz|GHz (default GHz)")
-    c.add_argument("--ports", help="port count when the extension is not .sNp")
+    ts = sub.add_parser("touchstone", help="touchstone file utilities")
+    groups = {"": sub, "touchstone": ts.add_subparsers(dest="ts_command", required=True)}
+    for name, (run, help_text, flags) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        c = groups[group].add_parser(leaf, help=help_text)
+        c.set_defaults(run=run, name=name, flags=flags)
+        c.add_argument("--scenario", help="JSON file pre-loading the flags below")
+        for flag in flags:
+            text = flag.help
+            if isinstance(flag.default, (str, float)):
+                text += f" (default {flag.default})"
+            spelled = flag.name if flag.default is ARGUMENT else f"--{flag.name}"
+            c.add_argument(spelled, help=text)
     return p
 
 
@@ -153,107 +162,88 @@ def _load_scenario(path: str | None) -> dict:
     return doc
 
 
-def _opt(args, scenario: dict, key: str, default=None):
-    """Flag value, else scenario value, else default (flags win)."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return scenario.get(key, default)
+def _merge(args: argparse.Namespace) -> SimpleNamespace:
+    """Typed value of every flag: explicit flag, else scenario key, else default."""
+    scenario = _load_scenario(args.scenario)
+    keys = {flag.name for flag in args.flags if flag.default is not ARGUMENT}
+    for key in scenario:
+        if key not in keys:
+            raise CliError(
+                f"scenario {args.scenario}: key {key!r} is not a flag of {args.name!r}"
+            )
+    values = {}
+    for flag in args.flags:
+        attr = flag.name.replace("-", "_")
+        raw = getattr(args, attr)
+        if raw is None:
+            raw = scenario.get(flag.name)
+        if raw is not None:
+            try:
+                values[attr] = flag.convert(raw)
+            except (ButlerCadError, OverflowError, TypeError, ValueError) as e:
+                raise CliError(f"--{flag.name}: {e}") from None
+        elif flag.default is REQUIRED:
+            raise CliError(f"missing required option --{flag.name}")
+        else:
+            values[attr] = flag.default
+    return SimpleNamespace(**values)
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise CliError(f"missing required option --{flag}")
-    return value
-
-
-def _outdir(args, scenario) -> Path:
-    value = _opt(args, scenario, "outdir") or os.environ.get("BUTLERCAD_OUTDIR", ".")
-    return Path(value)
-
-
-def _resolve(path_value: str, outdir: Path) -> Path:
+def _resolve(path_value: str, v: SimpleNamespace) -> Path:
     p = Path(path_value)
-    out = p if p.is_absolute() else outdir / p
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return out
+    if not p.is_absolute():
+        p = Path(v.outdir or os.environ.get("BUTLERCAD_OUTDIR", ".")) / p
+    p.parent.mkdir(parents=True, exist_ok=True)
+    return p
 
 
-def _substrate(args, scenario) -> Substrate:
-    er = float(_require(_opt(args, scenario, "er"), "er"))
-    h = parse_length(_require(_opt(args, scenario, "h"), "h"))
-    return Substrate(er, h)
+def _substrate(v: SimpleNamespace) -> Substrate:
+    for name in ("er", "h"):
+        if getattr(v, name) is None:
+            raise CliError(f"missing required option --{name}")
+    return Substrate(v.er, v.h)
 
 
-def _cmd_design(args) -> int:
-    scenario = _load_scenario(_opt(args, {}, "scenario"))
-    freq = parse_frequency(_require(_opt(args, scenario, "freq"), "freq"))
-    substrate = _substrate(args, scenario)
-    r_edge = float(
-        _opt(args, scenario, "edge-resistance", antenna.EDGE_RESISTANCE_REFERENCE)
+def _butler_net(v: SimpleNamespace) -> Netlist:
+    substrate = _substrate(v) if v.fidelity == FIDELITY_CIRCUIT else None
+    return butler.build_butler_4x4(v.fidelity, v.f0, substrate)
+
+
+def _cmd_design(v: SimpleNamespace) -> int:
+    rep = report.build_design_report(
+        v.freq, _substrate(v), edge_resistance=v.edge_resistance
     )
-    rep = report.build_design_report(freq, substrate, edge_resistance=r_edge)
     sys.stdout.write(rep.to_text())
-    json_out = _opt(args, scenario, "json-out")
-    if json_out:
-        path = _resolve(json_out, _outdir(args, scenario))
-        path.write_text(rep.to_json(), encoding="ascii")
+    if v.json_out:
+        _resolve(v.json_out, v).write_text(rep.to_json(), encoding="ascii")
     return 0
 
 
-def _select_ports(value) -> list[str]:
-    if value is None:
-        return list(butler.INPUT_PORT_NAMES)
-    names = [x.strip() for x in str(value).split(",") if x.strip()]
-    for name in names:
-        if name not in butler.INPUT_PORT_NAMES:
-            raise CliError(
-                f"unknown port {name!r}; choose from {', '.join(butler.INPUT_PORT_NAMES)}"
-            )
-    return names
+def _cmd_butler(v: SimpleNamespace) -> int:
+    if not (v.f_start < v.f_stop):
+        raise CliError("sweep needs f_start < f_stop")
+    if v.n_points < 2:
+        raise CliError("sweep needs at least 2 points")
+    net = _butler_net(v)
+    frequencies = np.linspace(v.f_start, v.f_stop, v.n_points)
+    sweep_data = [(f, interconnect(net, f)) for f in frequencies]
 
-
-def _cmd_butler(args) -> int:
-    scenario = _load_scenario(_opt(args, {}, "scenario"))
-    fidelity = _opt(args, scenario, "fidelity", FIDELITY_IDEAL)
-    f0 = parse_frequency(_require(_opt(args, scenario, "f0"), "f0"))
-    spec = SweepSpec(
-        f_start=parse_frequency(_require(_opt(args, scenario, "f-start"), "f-start")),
-        f_stop=parse_frequency(_require(_opt(args, scenario, "f-stop"), "f-stop")),
-        n_points=int(_require(_opt(args, scenario, "n-points"), "n-points")),
-        scale_unit=str(_opt(args, scenario, "unit", "GHz")),
-    )
-    substrate = _substrate(args, scenario) if fidelity == FIDELITY_CIRCUIT else None
-    ports = _select_ports(_opt(args, scenario, "ports"))
-    fmt = str(_opt(args, scenario, "fmt", "RI")).upper()
-    prefix = str(_opt(args, scenario, "prefix", "butler"))
-    outdir = _outdir(args, scenario)
-
-    net = butler.build_butler_4x4(fidelity, f0, substrate)
-    sweep_data = [(f, interconnect(net, f)) for f in spec.frequencies()]
-
-    ts_path = _resolve(f"{prefix}_{fidelity}.s8p", outdir)
-    touchstone_write(sweep_data, 8, fmt, ts_path, unit=spec.scale_unit)
+    ts_path = _resolve(f"{v.prefix}_{v.fidelity}.s8p", v)
+    touchstone_write(sweep_data, 8, v.format, ts_path, unit=v.unit)
 
     rows = []
-    port_index = {name: k for k, name in enumerate(butler.INPUT_PORT_NAMES)}
     for f, s in sweep_data:
-        for name in ports:
-            j = port_index[name]
+        for name in v.ports:
+            j = butler.INPUT_PORT_NAMES.index(name)
             for k, out_name in enumerate(butler.OUTPUT_PORT_NAMES):
                 rows.append((name, f, out_name, s.entries[4 + k, j]))
-    csv_path = _resolve(f"{prefix}_{fidelity}_excitations.csv", outdir)
+    csv_path = _resolve(f"{v.prefix}_{v.fidelity}_excitations.csv", v)
     with csv_path.open("w", encoding="ascii", newline="\n") as fh:
         report.excitation_csv(rows, fh)
 
-    geometry = beams.half_wave_geometry(f0)
-    excitations = butler.excitation_table(net, f0)
-    table = {}
-    for name in ports:
-        prog = butler.progression_deg(excitations[name].output_amplitudes)
-        ang = math.degrees(beams.beam_angle(-math.radians(prog), geometry))
-        table[name] = (prog, ang)
-    beam_path = _resolve(f"{prefix}_{fidelity}_beams.csv", outdir)
+    excitations = butler.excitation_table(net, v.f0)
+    table = butler.beam_table({name: excitations[name] for name in v.ports}, v.f0)
+    beam_path = _resolve(f"{v.prefix}_{v.fidelity}_beams.csv", v)
     with beam_path.open("w", encoding="ascii", newline="\n") as fh:
         report.beam_table_csv(table, fh)
 
@@ -263,36 +253,22 @@ def _cmd_butler(args) -> int:
     return 0
 
 
-def _cmd_pattern(args) -> int:
-    scenario = _load_scenario(_opt(args, {}, "scenario"))
-    port = str(_require(_opt(args, scenario, "port"), "port"))
-    if port not in butler.INPUT_PORT_NAMES:
-        raise CliError(f"unknown port {port!r}")
-    f0 = parse_frequency(_require(_opt(args, scenario, "f0"), "f0"))
-    fidelity = _opt(args, scenario, "fidelity", FIDELITY_IDEAL)
-    substrate = _substrate(args, scenario) if fidelity == FIDELITY_CIRCUIT else None
-    spacing_value = _opt(args, scenario, "spacing")
-    element = str(_opt(args, scenario, "element", "isotropic"))
-    step = float(_opt(args, scenario, "step", beams.DEFAULT_GRID_DEG))
-
-    if spacing_value is None:
-        geometry = beams.half_wave_geometry(f0)
+def _cmd_pattern(v: SimpleNamespace) -> int:
+    if v.spacing is None:
+        geometry = beams.half_wave_geometry(v.f0)
     else:
-        geometry = beams.ArrayGeometry(4, parse_length(spacing_value), f0)
-
-    net = butler.build_butler_4x4(fidelity, f0, substrate)
-    res = butler.excitation_table(net, f0)[port]
+        geometry = beams.ArrayGeometry(4, v.spacing, v.f0)
+    res = butler.excitation_table(_butler_net(v), v.f0)[v.port]
     cut = beams.array_factor(
         res.output_amplitudes,
         geometry,
-        angles=beams.default_angle_grid(step),
-        element_model=element,
+        angles=beams.default_angle_grid(v.step),
+        element_model=v.element,
         normalize=True,
-        label=port,
+        label=v.port,
     )
-    out = _opt(args, scenario, "out")
-    if out:
-        path = _resolve(out, _outdir(args, scenario))
+    if v.out:
+        path = _resolve(v.out, v)
         with path.open("w", encoding="ascii", newline="\n") as fh:
             cut.to_csv(fh)
         sys.stdout.write(f"wrote {path}\n")
@@ -301,41 +277,70 @@ def _cmd_pattern(args) -> int:
     return 0
 
 
-def _cmd_touchstone_convert(args) -> int:
-    scenario = _load_scenario(_opt(args, {}, "scenario"))
-    fmt = str(_opt(args, scenario, "fmt", "RI"))
-    unit = str(_opt(args, scenario, "unit", "GHz"))
-    ports = _opt(args, scenario, "ports")
-    outdir = _outdir(args, scenario)
-    destination = _resolve(args.destination, outdir)
-    touchstone_convert(
-        args.source,
-        destination,
-        fmt=fmt,
-        unit=unit,
-        n_ports=int(ports) if ports is not None else None,
-    )
+def _cmd_touchstone_convert(v: SimpleNamespace) -> int:
+    destination = _resolve(v.destination, v)
+    touchstone_convert(v.source, destination, fmt=v.format, unit=v.unit, n_ports=v.ports)
     sys.stdout.write(f"wrote {destination}\n")
     return 0
 
 
+# subcommand -> (handler, help, flags); each handler gets the merged values
+COMMANDS = {
+    "design": (_cmd_design, "closed-form dimension report", (
+        Flag("freq", parse_frequency, REQUIRED, "design frequency, e.g. 5.2GHz"),
+        ER,
+        H,
+        Flag("edge-resistance", float, antenna.EDGE_RESISTANCE_REFERENCE,
+             "patch edge resistance, ohm"),
+        Flag("json-out", str, None, "also write the JSON report to this path"),
+        OUTDIR,
+    )),
+    "butler": (_cmd_butler, "composite 8-port run", (
+        FIDELITY,
+        F0,
+        Flag("f-start", parse_frequency, REQUIRED, "sweep start"),
+        Flag("f-stop", parse_frequency, REQUIRED, "sweep stop"),
+        Flag("n-points", int, REQUIRED, "sweep point count"),
+        ER,
+        H,
+        Flag("ports", _input_ports, butler.INPUT_PORT_NAMES,
+             "comma list of input ports (default all four)"),
+        FORMAT,
+        UNIT,
+        Flag("prefix", str, "butler", "output file prefix"),
+        OUTDIR,
+    )),
+    "pattern": (_cmd_pattern, "far-field cut for one port", (
+        Flag("port", _input_port, REQUIRED, "input port: 1R, 2L, 2R or 1L"),
+        F0,
+        FIDELITY,
+        ER,
+        H,
+        Flag("spacing", parse_length, None,
+             "element spacing, e.g. 28.83mm (default lambda0/2)"),
+        Flag("element", _one_of("isotropic", "cos"), "isotropic",
+             "element model: isotropic|cos"),
+        Flag("step", _positive_finite, beams.DEFAULT_GRID_DEG,
+             "angle grid step in degrees"),
+        Flag("out", str, None, "CSV output path (default stdout)"),
+        OUTDIR,
+    )),
+    "touchstone convert": (_cmd_touchstone_convert, "rewrite format or unit", (
+        Flag("source", str, ARGUMENT, "touchstone file to read"),
+        Flag("destination", str, ARGUMENT, "touchstone file to write"),
+        FORMAT,
+        UNIT,
+        Flag("ports", int, None, "port count when the extension is not .sNp"),
+        OUTDIR,
+    )),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "design":
-            return _cmd_design(args)
-        if args.command == "butler":
-            return _cmd_butler(args)
-        if args.command == "pattern":
-            return _cmd_pattern(args)
-        if args.command == "touchstone":
-            return _cmd_touchstone_convert(args)
-        raise CliError(f"unknown command {args.command!r}")
-    except ButlerCadError as e:
-        print(f"butlercad: error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+        args = _build_parser().parse_args(argv)
+        return args.run(_merge(args))
+    except (ButlerCadError, ValueError, OSError) as e:
         print(f"butlercad: error: {e}", file=sys.stderr)
         return 2
 

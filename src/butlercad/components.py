@@ -25,8 +25,6 @@ from . import microstrip
 from .microstrip import Substrate
 from .network import Netlist, interconnect
 from .sparams import (
-    FIDELITY_CIRCUIT,
-    FIDELITY_IDEAL,
     Z_REF_DEFAULT,
     DeviceModel,
     ScatteringMatrix,
@@ -65,7 +63,6 @@ def ideal_hybrid() -> DeviceModel:
         label="ideal 90deg hybrid (1 in, 2 through, 3 coupled, 4 isolated)",
         n_ports=4,
         evaluate=lambda f: matrix,
-        fidelity=FIDELITY_IDEAL,
         kind="ideal_hybrid",
     )
 
@@ -77,7 +74,6 @@ def ideal_crossover() -> DeviceModel:
         label="ideal crossover (1/4 left, 2/3 right, pairs 1-3 and 4-2)",
         n_ports=4,
         evaluate=lambda f: matrix,
-        fidelity=FIDELITY_IDEAL,
         kind="ideal_crossover",
     )
 
@@ -99,7 +95,6 @@ def phase_shifter(phi0: float, f0: float) -> DeviceModel:
         label=f"phase shifter -{math.degrees(phi0):g} deg at f0 (1 in, 2 out)",
         n_ports=2,
         evaluate=evaluate,
-        fidelity=FIDELITY_IDEAL,
         kind="phase_shifter",
         params={"phi0_rad": phi0, "f0_hz": f0},
     )
@@ -136,7 +131,6 @@ def tline(
         label=f"lossless line z0={z0:g} ohm, l={length * 1e3:.4g} mm (1 in, 2 out)",
         n_ports=2,
         evaluate=evaluate,
-        fidelity=FIDELITY_CIRCUIT,
         kind="tline",
         params={"z0_ohm": z0, "length_m": length, "eps_reff": eps_reff},
     )
@@ -157,7 +151,6 @@ def shunt_junction(n_ports: int = 3) -> DeviceModel:
         label=f"ideal {n_ports}-way shunt junction",
         n_ports=n_ports,
         evaluate=lambda f: matrix,
-        fidelity=FIDELITY_IDEAL,
         kind="shunt_junction",
         params={"n_ports": n_ports},
     )
@@ -170,7 +163,6 @@ def matched_load() -> DeviceModel:
         label="matched load",
         n_ports=1,
         evaluate=lambda f: matrix,
-        fidelity=FIDELITY_IDEAL,
         kind="matched_load",
     )
 
@@ -257,7 +249,6 @@ def branchline_hybrid_circuit(
         label="branch-line hybrid circuit (1 in, 2 through, 3 coupled, 4 isolated)",
         n_ports=4,
         evaluate=evaluate,
-        fidelity=FIDELITY_CIRCUIT,
         kind="branchline_hybrid",
         params={
             "f0_hz": f0,
@@ -290,7 +281,6 @@ def crossover_circuit(
         label="crossover circuit, two cascaded branch-line hybrids (1/4 left, 2/3 right)",
         n_ports=4,
         evaluate=lambda f: interconnect(net, f),
-        fidelity=FIDELITY_CIRCUIT,
         kind="crossover_circuit",
         params={
             "f0_hz": f0,

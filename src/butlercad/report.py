@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import antenna, beams, butler, microstrip
+from . import antenna, butler, microstrip
 from .microstrip import MicrostripLineSpec, Substrate
 from .network import ExcitationResult
 from .sparams import FIDELITY_IDEAL
@@ -149,14 +149,6 @@ def build_design_report(
     )
     net = butler.build_butler_4x4(FIDELITY_IDEAL, frequency)
     excitations = butler.excitation_table(net, frequency)
-    geometry = beams.half_wave_geometry(frequency)
-    beam_table = {}
-    for port, res in excitations.items():
-        prog = butler.progression_deg(res.output_amplitudes)
-        # a falling phase across the elements steers the beam to positive
-        # angles, so the steering value entering the arcsin is -progression
-        ang = math.degrees(beams.beam_angle(-math.radians(prog), geometry))
-        beam_table[port] = (prog, ang)
     census = {"hybrids": 4, "crossovers": 2, "phase_shifters": 2}
     return DesignReport(
         frequency=frequency,
@@ -166,7 +158,7 @@ def build_design_report(
         edge_resistance=edge_resistance,
         device_census=census,
         excitations=excitations,
-        beam_table=beam_table,
+        beam_table=butler.beam_table(excitations, frequency),
     )
 
 

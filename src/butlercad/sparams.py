@@ -68,15 +68,12 @@ class DeviceModel:
     label: str
     n_ports: int
     evaluate: Callable[[float], ScatteringMatrix]
-    fidelity: str = FIDELITY_IDEAL
     kind: str = ""
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_ports < 1:
             raise ValueError("n_ports must be >= 1")
-        if self.fidelity not in (FIDELITY_IDEAL, FIDELITY_CIRCUIT):
-            raise ValueError(f"unknown fidelity {self.fidelity!r}")
 
     def at(self, frequency: float) -> ScatteringMatrix:
         """Evaluate and sanity-check the declared port count."""

@@ -12,9 +12,11 @@ Layout rules implemented (version 1 of the format):
 * the port count comes from the ``.sNp`` file extension and is cross
   checked against the token count.
 
-Numbers are written with 9 significant digits so a write/read round trip
-stays below 1e-9 per entry.  The comment header carries the tool name and
-a content hash, never a timestamp, keeping identical inputs byte-identical.
+Frequencies and the reference impedance are written with 9 significant
+digits and data fields with 12, so a write/read round trip stays below
+1e-9 per entry; the reader rejects non-finite numbers.  The comment header
+carries the tool name and a content hash, never a timestamp, keeping
+identical inputs byte-identical.
 """
 
 from __future__ import annotations
@@ -199,9 +201,11 @@ def touchstone_read(
                     try:
                         z_ref = float(fields[k + 1])
                     except ValueError:
+                        z_ref = math.nan
+                    if not (math.isfinite(z_ref) and z_ref > 0):
                         raise TouchstoneParseError(
                             f"bad impedance {fields[k + 1]!r}", lineno
-                        ) from None
+                        )
                     k += 1
                 else:
                     raise TouchstoneParseError(f"bad option token {word!r}", lineno)
@@ -209,9 +213,12 @@ def touchstone_read(
             continue
         for tok in line.split():
             try:
-                tokens.append((float(tok), lineno))
+                value = float(tok)
             except ValueError:
                 raise TouchstoneParseError(f"non-numeric token {tok!r}", lineno) from None
+            if not math.isfinite(value):
+                raise TouchstoneParseError(f"non-finite value {tok!r}", lineno)
+            tokens.append((value, lineno))
 
     block = 1 + 2 * n * n
     if not tokens or len(tokens) % block != 0:

@@ -15,7 +15,6 @@ from butlercad.beams import (
     half_wave_geometry,
     inter_element_phase,
     pattern_metrics,
-    power_sum_overlay,
 )
 from butlercad.butler import build_butler_4x4, excitation_table
 from butlercad.errors import DegeneratePatternError, GratingLobeError
@@ -174,17 +173,6 @@ class TestPatternCutSerialization:
             PatternCut(angles=np.array([0.1, 0.0]), magnitude=np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             PatternCut(angles=np.array([0.0, 2.0]), magnitude=np.array([1.0, 1.0]))
-
-
-def test_power_sum_overlay_monotone():
-    net = build_butler_4x4("ideal", F0)
-    grid = default_angle_grid(0.5)
-    cuts = [
-        array_factor(res.output_amplitudes, HALF_WAVE, angles=grid)
-        for res in excitation_table(net, F0).values()
-    ]
-    total = power_sum_overlay(cuts)
-    assert np.all(total.magnitude >= np.max([c.magnitude for c in cuts], axis=0) - 1e-12)
 
 
 def test_geometry_validation():

@@ -11,6 +11,7 @@ from butlercad.butler import (
     IDEAL_PROGRESSIONS_DEG,
     INPUT_PORT_NAMES,
     adjacent_phase_steps,
+    beam_table,
     build_butler_4x4,
     excitation_table,
     progression_deg,
@@ -137,6 +138,28 @@ class TestCircuitComposite:
             assert progression_deg(res.output_amplitudes) == pytest.approx(
                 IDEAL_PROGRESSIONS_DEG[name], abs=0.1
             )
+
+
+@pytest.mark.parametrize("net_fixture", ["ideal_net", "circuit_net"])
+@pytest.mark.parametrize("f", [F0, 0.93 * F0])
+def test_excitation_table_equals_excite_per_port(request, net_fixture, f):
+    net = request.getfixturevalue(net_fixture)
+    table = excitation_table(net, f)
+    assert list(table) == list(INPUT_PORT_NAMES)
+    for k, name in enumerate(INPUT_PORT_NAMES):
+        want = excite(net, k + 1, f)
+        assert table[name].input_port == k + 1 and table[name].frequency == f
+        np.testing.assert_array_equal(
+            table[name].output_amplitudes, want.output_amplitudes
+        )
+
+
+def test_beam_table_keeps_port_order_and_steers_by_progression(ideal_net):
+    table = excitation_table(ideal_net, F0)
+    beams = beam_table({name: table[name] for name in ("2L", "1R")}, F0)
+    assert list(beams) == ["2L", "1R"]
+    assert beams["1R"] == pytest.approx((-45.0, 14.4775), abs=1e-4)
+    assert beams["2L"] == pytest.approx((135.0, -48.5904), abs=1e-4)
 
 
 def test_phase_step_wrapping():

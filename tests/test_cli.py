@@ -103,6 +103,39 @@ class TestScenario:
         out = capsys.readouterr().out
         assert "er=1" in out
 
+    def test_format_key_reaches_the_touchstone_writer(self, tmp_path):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(
+            {"format": "DB", "fidelity": "ideal", "f0": "5.2GHz", "f-start": "5GHz",
+             "f-stop": "5.4GHz", "n-points": 3}
+        ))
+        assert main(["butler", "--scenario", str(scen), "--outdir", str(tmp_path)]) == 0
+        text = (tmp_path / "butler_ideal.s8p").read_text()
+        assert "# GHz S DB R 50" in text.splitlines()
+
+    @pytest.mark.parametrize("doc", [{"fstart": "1GHz"}, {"freq": "5.2GHz"}])
+    def test_unknown_key_names_key_and_subcommand(self, tmp_path, capsys, doc):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        rc = main(
+            ["butler", "--scenario", str(scen), "--f0", "5.2GHz", "--f-start", "5GHz",
+             "--f-stop", "5.4GHz", "--n-points", "3", "--outdir", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("butlercad: error:")
+        assert repr(next(iter(doc))) in err and "butler" in err
+        assert not (tmp_path / "butler_ideal.s8p").exists()
+
+    @pytest.mark.parametrize("doc", [{"er": [4.9]}, {"er": {"value": 4.9}}])
+    def test_value_of_wrong_type_is_one_line(self, tmp_path, capsys, doc):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({"freq": "5.2GHz", "h": "1.6mm", **doc}))
+        rc = main(["design", "--scenario", str(scen)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("butlercad: error: --er")
+
     def test_malformed_scenario(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         scen.write_text("[1, 2]")
@@ -200,6 +233,15 @@ class TestPatternCommand:
         buf = io.StringIO()
         cut.to_csv(buf)
         assert out.read_text() == buf.getvalue()
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+    def test_non_positive_or_non_finite_step_is_one_line(self, capsys, step):
+        rc = main(["pattern", "--port", "1R", "--f0", "5.2GHz", "--step", step])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("butlercad: error: --step")
 
     def test_unknown_port(self, capsys):
         rc = main(["pattern", "--port", "9Z", "--f0", "5.2GHz"])

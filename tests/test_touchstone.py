@@ -158,6 +158,20 @@ class TestReading:
         with pytest.raises(TouchstoneParseError, match="line 1"):
             touchstone_read(io.StringIO("# GHz S QQ R 50\n1 0 0\n"), n_ports=1)
 
+    @pytest.mark.parametrize(
+        "body",
+        ["1 0 0\nnan 0 0\n", "1 0 0\n2 inf 0\n", "1 0 0\n2 0 -inf\n", "nan 0 0\n2 0 0\n"],
+    )
+    def test_non_finite_values_rejected_with_line_number(self, body):
+        bad_line = 2 + next(k for k, ln in enumerate(body.splitlines()) if "n" in ln)
+        with pytest.raises(TouchstoneParseError, match=f"line {bad_line}: non-finite"):
+            touchstone_read(io.StringIO("# GHz S RI R 50\n" + body), n_ports=1)
+
+    @pytest.mark.parametrize("z", ["nan", "inf", "0", "-50"])
+    def test_bad_reference_impedance_rejected_with_line_number(self, z):
+        with pytest.raises(TouchstoneParseError, match="line 1: bad impedance"):
+            touchstone_read(io.StringIO(f"# GHz S RI R {z}\n1 0 0\n"), n_ports=1)
+
     def test_arity_mismatch_detected(self):
         # three tokens short of a 2-port record
         with pytest.raises(TouchstoneParseError, match="multiple"):
