@@ -21,15 +21,7 @@ from .microstrip import (  # noqa: F401
     synthesize_width,
 )
 from .sparams import DeviceModel, ScatteringMatrix  # noqa: F401
-from .network import (  # noqa: F401
-    ExcitationResult,
-    Netlist,
-    excite,
-    interconnect,
-    netlist_from_json,
-    netlist_to_json,
-    sweep,
-)
+from .network import Netlist, interconnect, netlist_from_json, netlist_to_json  # noqa: F401
 from .components import (  # noqa: F401
     branchline_hybrid_circuit,
     crossover_circuit,

@@ -100,9 +100,15 @@ class PatternCut:
 
 
 def default_angle_grid(step_deg: float = DEFAULT_GRID_DEG) -> np.ndarray:
-    """Radian grid over [-90, +90] degrees at the given step."""
-    n = int(round(180.0 / step_deg)) + 1
-    return np.radians(np.linspace(-90.0, 90.0, n))
+    """Radian grid over [-90, +90] degrees at the given step.
+
+    The step must divide 180 degrees (to 1e-9 relative), so the grid has
+    exactly the step asked for; any other step raises ValueError.
+    """
+    count = 180.0 / step_deg if step_deg > 0 else 0.0
+    if not (1.0 <= count < math.inf and abs(count - round(count)) <= 1e-9 * count):
+        raise ValueError(f"angle step {step_deg:g} deg does not divide 180 deg")
+    return np.radians(np.linspace(-90.0, 90.0, round(count) + 1))
 
 
 def array_factor(

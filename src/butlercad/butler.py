@@ -26,7 +26,7 @@ import numpy as np
 
 from . import beams, components
 from .microstrip import Substrate
-from .network import ExcitationResult, Netlist, interconnect
+from .network import Netlist, interconnect
 from .sparams import FIDELITY_CIRCUIT, FIDELITY_IDEAL
 
 INPUT_PORT_NAMES = ("1R", "2L", "2R", "1L")
@@ -47,23 +47,25 @@ def build_butler_4x4(
     is required for circuit fidelity and ignored for ideal fidelity.
     """
     if fidelity == FIDELITY_IDEAL:
-        hybrid = components.ideal_hybrid
-        crossover = components.ideal_crossover
+        hybrid = components.ideal_hybrid()
+        crossover = components.ideal_crossover()
     elif fidelity == FIDELITY_CIRCUIT:
         if substrate is None:
             raise ValueError("circuit fidelity needs a substrate")
-        hybrid = lambda: components.branchline_hybrid_circuit(f0, substrate)
-        crossover = lambda: components.crossover_circuit(f0, substrate)
+        hybrid = components.branchline_hybrid_circuit(f0, substrate)
+        crossover = components.crossover_circuit(f0, substrate)
     else:
         raise ValueError(f"unknown fidelity {fidelity!r}")
+    shifter = components.phase_shifter(SHIFT_PHI0, f0)
 
+    # models hold no state, so identical parts share one object
     net = Netlist()
     for name in ("HA", "HB", "HC", "HD"):
-        net.add(name, hybrid())
+        net.add(name, hybrid)
     for name in ("X1", "X2"):
-        net.add(name, crossover())
-    net.add("PSA", components.phase_shifter(SHIFT_PHI0, f0))
-    net.add("PSB", components.phase_shifter(SHIFT_PHI0, f0))
+        net.add(name, crossover)
+    for name in ("PSA", "PSB"):
+        net.add(name, shifter)
 
     net.connect(("HA", 2), ("PSA", 1))
     net.connect(("PSA", 2), ("HC", 1))
@@ -101,27 +103,24 @@ def progression_deg(amplitudes: np.ndarray) -> float:
     return float(np.mean(adjacent_phase_steps(amplitudes)))
 
 
-def excitation_table(net: Netlist, frequency: float) -> dict[str, ExcitationResult]:
-    """Excitation of the array ports for each named input port.
+def excitation_table(net: Netlist, frequency: float) -> dict[str, np.ndarray]:
+    """Waves at the array ports A1..A4 for a unit wave into each input port.
 
-    One solve serves all four inputs: column k of the composite's
-    output rows is what ``excite(net, k + 1, frequency)`` returns.
+    All other ports are matched.  One solve serves all four inputs: the
+    entry of input k is column k of the composite's output rows.
     """
     s = interconnect(net, frequency).entries
-    return {
-        name: ExcitationResult(k + 1, s[4:, k].copy(), frequency)
-        for k, name in enumerate(INPUT_PORT_NAMES)
-    }
+    return {name: s[4:, k] for k, name in enumerate(INPUT_PORT_NAMES)}
 
 
 def beam_table(
-    excitations: dict[str, ExcitationResult], frequency: float
+    excitations: dict[str, np.ndarray], frequency: float
 ) -> dict[str, tuple[float, float]]:
     """Port -> (progression deg, beam angle deg) on a half-wave array at ``frequency``."""
     geometry = beams.half_wave_geometry(frequency)
     table = {}
-    for port, res in excitations.items():
-        prog = progression_deg(res.output_amplitudes)
+    for port, amplitudes in excitations.items():
+        prog = progression_deg(amplitudes)
         # a falling phase across the elements steers the beam to positive
         # angles, so the steering value entering the arcsin is -progression
         ang = math.degrees(beams.beam_angle(-math.radians(prog), geometry))

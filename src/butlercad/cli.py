@@ -258,11 +258,11 @@ def _cmd_pattern(v: SimpleNamespace) -> int:
         geometry = beams.half_wave_geometry(v.f0)
     else:
         geometry = beams.ArrayGeometry(4, v.spacing, v.f0)
-    res = butler.excitation_table(_butler_net(v), v.f0)[v.port]
+    angles = beams.default_angle_grid(v.step)
     cut = beams.array_factor(
-        res.output_amplitudes,
+        butler.excitation_table(_butler_net(v), v.f0)[v.port],
         geometry,
-        angles=beams.default_angle_grid(v.step),
+        angles=angles,
         element_model=v.element,
         normalize=True,
         label=v.port,
@@ -321,7 +321,7 @@ COMMANDS = {
         Flag("element", _one_of("isotropic", "cos"), "isotropic",
              "element model: isotropic|cos"),
         Flag("step", _positive_finite, beams.DEFAULT_GRID_DEG,
-             "angle grid step in degrees"),
+             "angle grid step in degrees, a divisor of 180"),
         Flag("out", str, None, "CSV output path (default stdout)"),
         OUTDIR,
     )),

@@ -132,12 +132,12 @@ def tline(
         n_ports=2,
         evaluate=evaluate,
         kind="tline",
-        params={"z0_ohm": z0, "length_m": length, "eps_reff": eps_reff},
+        params={"z0_ohm": z0, "length_m": length, "eps_reff": eps_reff, "z_ref_ohm": z_ref},
     )
 
 
-def shunt_junction(n_ports: int = 3) -> DeviceModel:
-    """Ideal parallel junction of ``n_ports`` equal-impedance lines.
+def shunt_junction(n_ports: int = 3, z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
+    """Ideal parallel junction of ``n_ports`` lines, each of impedance ``z_ref``.
 
     All ports share one node voltage: S = (2/n) - identity.  Lossless and
     reciprocal; the building block for multi-way corners.
@@ -145,14 +145,15 @@ def shunt_junction(n_ports: int = 3) -> DeviceModel:
     if n_ports < 2:
         raise ValueError("junction needs at least 2 ports")
     matrix = ScatteringMatrix(
-        np.full((n_ports, n_ports), 2.0 / n_ports, dtype=complex) - np.eye(n_ports)
+        np.full((n_ports, n_ports), 2.0 / n_ports, dtype=complex) - np.eye(n_ports),
+        z_ref=z_ref,
     )
     return DeviceModel(
         label=f"ideal {n_ports}-way shunt junction",
         n_ports=n_ports,
         evaluate=lambda f: matrix,
         kind="shunt_junction",
-        params={"n_ports": n_ports},
+        params={"n_ports": n_ports, "z_ref_ohm": z_ref},
     )
 
 
@@ -204,13 +205,16 @@ def branchline_dimensions(
 
 def _branchline_net(f0: float, substrate: Substrate, z_ref: float) -> Netlist:
     dims = branchline_dimensions(f0, substrate, z_ref)
+    junction = shunt_junction(3, z_ref)
+    series = tline(dims.series_z0, dims.series_length, dims.series_eps_reff, z_ref)
+    shunt = tline(dims.shunt_z0, dims.shunt_length, dims.shunt_eps_reff, z_ref)
     net = Netlist()
     for name in ("J1", "J2", "J3", "J4"):
-        net.add(name, shunt_junction(3))
-    net.add("TOP", tline(dims.series_z0, dims.series_length, dims.series_eps_reff, z_ref))
-    net.add("BOT", tline(dims.series_z0, dims.series_length, dims.series_eps_reff, z_ref))
-    net.add("LEFT", tline(dims.shunt_z0, dims.shunt_length, dims.shunt_eps_reff, z_ref))
-    net.add("RIGHT", tline(dims.shunt_z0, dims.shunt_length, dims.shunt_eps_reff, z_ref))
+        net.add(name, junction)
+    net.add("TOP", series)
+    net.add("BOT", series)
+    net.add("LEFT", shunt)
+    net.add("RIGHT", shunt)
     # square ring: corners J1..J4 are ports 1..4, series arms along top and
     # bottom edges, shunt arms along left and right edges
     net.connect(("J1", 2), ("TOP", 1))
@@ -254,6 +258,7 @@ def branchline_hybrid_circuit(
             "f0_hz": f0,
             "epsilon_r": substrate.epsilon_r,
             "height_m": substrate.height_h,
+            "z_ref_ohm": z_ref,
         },
     )
 
@@ -268,11 +273,10 @@ def crossover_circuit(
     diagonally opposite port, reproducing the ideal crossover at f0.
     Composite ports: 1 = A.1, 2 = B.2, 3 = B.3, 4 = A.4.
     """
-    half_a = branchline_hybrid_circuit(f0, substrate, z_ref)
-    half_b = branchline_hybrid_circuit(f0, substrate, z_ref)
+    half = branchline_hybrid_circuit(f0, substrate, z_ref)
     net = Netlist()
-    net.add("A", half_a)
-    net.add("B", half_b)
+    net.add("A", half)
+    net.add("B", half)
     net.connect(("A", 2), ("B", 1))
     net.connect(("A", 3), ("B", 4))
     net.expose(("A", 1), ("B", 2), ("B", 3), ("A", 4))
@@ -286,12 +290,18 @@ def crossover_circuit(
             "f0_hz": f0,
             "epsilon_r": substrate.epsilon_r,
             "height_m": substrate.height_h,
+            "z_ref_ohm": z_ref,
         },
     )
 
 
 def device_from_spec(kind: str, params: dict) -> DeviceModel:
-    """Rebuild a device from its JSON (kind, params) record."""
+    """Rebuild a device from its JSON (kind, params) record.
+
+    A record without ``z_ref_ohm`` is referenced to 50 ohm, as documents
+    written before that key existed were.
+    """
+    z_ref = params.get("z_ref_ohm", Z_REF_DEFAULT)
     if kind == "ideal_hybrid":
         return ideal_hybrid()
     if kind == "ideal_crossover":
@@ -299,15 +309,15 @@ def device_from_spec(kind: str, params: dict) -> DeviceModel:
     if kind == "phase_shifter":
         return phase_shifter(params["phi0_rad"], params["f0_hz"])
     if kind == "tline":
-        return tline(params["z0_ohm"], params["length_m"], params["eps_reff"])
+        return tline(params["z0_ohm"], params["length_m"], params["eps_reff"], z_ref)
     if kind == "shunt_junction":
-        return shunt_junction(params.get("n_ports", 3))
+        return shunt_junction(params.get("n_ports", 3), z_ref)
     if kind == "matched_load":
         return matched_load()
     if kind == "branchline_hybrid":
         sub = Substrate(params["epsilon_r"], params["height_m"])
-        return branchline_hybrid_circuit(params["f0_hz"], sub)
+        return branchline_hybrid_circuit(params["f0_hz"], sub, z_ref)
     if kind == "crossover_circuit":
         sub = Substrate(params["epsilon_r"], params["height_m"])
-        return crossover_circuit(params["f0_hz"], sub)
+        return crossover_circuit(params["f0_hz"], sub, z_ref)
     raise ValueError(f"unknown device kind {kind!r}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -139,30 +139,6 @@ def interconnect(net: Netlist, frequency: float) -> ScatteringMatrix:
     return ScatteringMatrix(s[np.ix_(order, order)], z_ref=z_ref)
 
 
-@dataclass(frozen=True)
-class ExcitationResult:
-    """Output-port waves for a unit wave into one input, all ports matched."""
-
-    input_port: int
-    output_amplitudes: np.ndarray
-    frequency: float
-
-
-def excite(net: Netlist, input_port: int, frequency: float) -> ExcitationResult:
-    """Array-port waves S(4+k, input) of an 8-port beamformer netlist."""
-    n_ext = len(net.external_ports)
-    n_out = n_ext - 4
-    if n_out < 1:
-        raise NetlistError("excite expects a netlist with 4 inputs plus outputs")
-    if not (1 <= input_port <= 4):
-        raise ValueError(f"input_port must be in 1..4, got {input_port}")
-    s = interconnect(net, frequency)
-    amplitudes = s.entries[4:, input_port - 1].copy()
-    return ExcitationResult(
-        input_port=input_port, output_amplitudes=amplitudes, frequency=frequency
-    )
-
-
 # --- JSON persistence -------------------------------------------------------
 #
 # Document layout (see schemas/netlist.schema.json):
@@ -195,15 +171,3 @@ def netlist_from_json(
     net.expose(*[(p[0], int(p[1])) for p in doc["external_ports"]])
     net.validate()
     return net
-
-
-def sweep(
-    net: Netlist, frequencies: Iterable[float]
-) -> list[tuple[float, ScatteringMatrix]]:
-    """Evaluate the composite over a frequency list, ordered by frequency.
-
-    Each point is an independent pure evaluation, so callers may fan the
-    loop out over threads; results here are computed sequentially and
-    returned sorted.
-    """
-    return [(f, interconnect(net, f)) for f in sorted(frequencies)]

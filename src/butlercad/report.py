@@ -15,7 +15,6 @@ import numpy as np
 
 from . import antenna, butler, microstrip
 from .microstrip import MicrostripLineSpec, Substrate
-from .network import ExcitationResult
 from .sparams import FIDELITY_IDEAL
 
 
@@ -29,7 +28,7 @@ class DesignReport:
     patch: antenna.PatchDims
     edge_resistance: float
     device_census: dict[str, int]
-    excitations: dict[str, ExcitationResult]
+    excitations: dict[str, np.ndarray]  # input port -> waves at A1..A4
     beam_table: dict[str, tuple[float, float]]  # port -> (progression deg, angle deg)
 
     def to_json_dict(self) -> dict:
@@ -72,11 +71,9 @@ class DesignReport:
                         * math.log10(max(abs(amp), 1e-300)),
                         "phase_deg": math.degrees(np.angle(amp)),
                     }
-                    for out, amp in zip(
-                        butler.OUTPUT_PORT_NAMES, res.output_amplitudes
-                    )
+                    for out, amp in zip(butler.OUTPUT_PORT_NAMES, amplitudes)
                 ]
-                for port, res in self.excitations.items()
+                for port, amplitudes in self.excitations.items()
             },
             "beam_table": {
                 port: {"progression_deg": prog, "beam_angle_deg": ang}
@@ -114,10 +111,9 @@ class DesignReport:
         out.append("")
         out.append("port   coupling to A1..A4 (dB)              progression    beam")
         for port in butler.INPUT_PORT_NAMES:
-            res = self.excitations[port]
             mags = " ".join(
                 f"{20.0 * math.log10(max(abs(a), 1e-300)):7.2f}"
-                for a in res.output_amplitudes
+                for a in self.excitations[port]
             )
             prog, ang = self.beam_table[port]
             out.append(f"  {port}  {mags}   {prog:+8.2f} deg   {ang:+7.2f} deg")

@@ -5,16 +5,17 @@ Layout rules implemented (version 1 of the format):
 * one option line ``# <unit> S <fmt> R <z_ref>``, fields in any order,
   defaults ``GHz S MA R 50``;
 * ``!`` starts a comment anywhere on a line;
-* one and two port data sit on a single line per frequency, the two-port
-  entry order being S11 S21 S12 S22;
-* for three ports and up the matrix is row major, every matrix row starts
-  a new line and rows wrap after four complex pairs;
+* entries are in row-major order, except the two-port order S11 S21 S12
+  S22;
+* one- and two-port data sit on one line per frequency; from three ports
+  up every matrix row starts a new line; no line holds more than four
+  complex pairs;
 * the port count comes from the ``.sNp`` file extension and is cross
   checked against the token count.
 
 Frequencies and the reference impedance are written with 9 significant
 digits and data fields with 12, so a write/read round trip stays below
-1e-9 per entry; the reader rejects non-finite numbers.  The comment header
+1e-9 per entry; neither side accepts non-finite numbers.  The comment header
 carries the tool name and a content hash, never a timestamp, keeping
 identical inputs byte-identical.
 """
@@ -69,6 +70,13 @@ def _unpair(a: float, b: float, fmt: str) -> complex:
     )
 
 
+def _entry_order(n: int) -> list[tuple[int, int]]:
+    """Matrix positions (row, column) in file order for ``n`` ports."""
+    if n == 2:
+        return [(0, 0), (1, 0), (0, 1), (1, 1)]
+    return [(i, j) for i in range(n) for j in range(n)]
+
+
 def content_hash(sweep: Sequence[tuple[float, ScatteringMatrix]]) -> str:
     """Deterministic digest of the numeric payload."""
     h = hashlib.sha256()
@@ -104,6 +112,11 @@ def touchstone_write(
     if len(z_refs) != 1:
         raise TouchstoneError(f"mixed reference impedances {sorted(z_refs)}")
     z_ref = z_refs.pop()
+    if not (
+        math.isfinite(z_ref)
+        and all(math.isfinite(f) and np.isfinite(s.entries).all() for f, s in sweep)
+    ):
+        raise TouchstoneError("non-finite frequency, entry or reference impedance")
 
     scale = UNIT_SCALE[unit_key]
     unit_names = {"HZ": "Hz", "KHZ": "kHz", "MHZ": "MHz", "GHZ": "GHz"}
@@ -112,26 +125,16 @@ def touchstone_write(
         f"! content-hash {content_hash(sweep)}",
         f"# {unit_names[unit_key]} S {fmt} R {_fmt(z_ref)}",
     ]
+    order = _entry_order(n_ports)
+    # from three ports up each matrix row starts a line; 1- and 2-port data share one
+    width = n_ports if n_ports > 2 else n_ports * n_ports
     for f, s in sweep:
-        m = s.entries
-        if n_ports == 1:
-            a, b = _pair(m[0, 0], fmt)
-            lines.append(f"{_fmt(f / scale)} {_fmt_data(a)} {_fmt_data(b)}")
-        elif n_ports == 2:
-            # v1 two-port order: S11 S21 S12 S22
-            vals = []
-            for entry in (m[0, 0], m[1, 0], m[0, 1], m[1, 1]):
-                vals.extend(_pair(entry, fmt))
-            lines.append(" ".join([_fmt(f / scale)] + [_fmt_data(v) for v in vals]))
-        else:
-            for i in range(n_ports):
-                row = []
-                for j in range(n_ports):
-                    row.extend(_pair(m[i, j], fmt))
-                chunks = [row[k : k + 8] for k in range(0, len(row), 8)]  # 4 pairs
-                for c, chunk in enumerate(chunks):
-                    head = _fmt(f / scale) + " " if (i == 0 and c == 0) else "  "
-                    lines.append(head + " ".join(_fmt_data(v) for v in chunk))
+        head = _fmt(f / scale) + " "
+        for r in range(0, len(order), width):
+            row = [v for i, j in order[r : r + width] for v in _pair(s.entries[i, j], fmt)]
+            for c in range(0, len(row), 8):  # four pairs per line
+                lines.append(head + " ".join(_fmt_data(v) for v in row[c : c + 8]))
+                head = "  "
     text = "\n".join(lines) + "\n"
 
     if hasattr(destination, "write"):
@@ -227,6 +230,7 @@ def touchstone_read(
             f"expected for {n} ports"
         )
 
+    order = _entry_order(n)
     out: list[tuple[float, ScatteringMatrix]] = []
     prev_f = -math.inf
     for b in range(0, len(tokens), block):
@@ -238,10 +242,6 @@ def touchstone_read(
         prev_f = f
         vals = [v for v, _ in tokens[b + 1 : b + block]]
         m = np.empty((n, n), dtype=complex)
-        if n == 2:
-            order = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        else:
-            order = [(i, j) for i in range(n) for j in range(n)]
         for (i, j), k in zip(order, range(0, len(vals), 2)):
             m[i, j] = _unpair(vals[k], vals[k + 1], fmt)
         out.append((f, ScatteringMatrix(m, z_ref=z_ref)))

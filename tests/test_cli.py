@@ -225,7 +225,7 @@ class TestPatternCommand:
         )
         assert rc == 0
         net = build_butler_4x4("ideal", 5.2e9)
-        amps = excitation_table(net, 5.2e9)["1R"].output_amplitudes
+        amps = excitation_table(net, 5.2e9)["1R"]
         cut = array_factor(
             amps, half_wave_geometry(5.2e9), angles=default_angle_grid(0.5),
             normalize=True, label="1R",
@@ -242,6 +242,15 @@ class TestPatternCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("butlercad: error: --step")
+
+    @pytest.mark.parametrize("step", ["0.7", "200"])
+    def test_step_not_dividing_180_is_one_line(self, capsys, step):
+        rc = main(["pattern", "--port", "1R", "--f0", "5.2GHz", "--step", step])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"step {step} deg" in captured.err
 
     def test_unknown_port(self, capsys):
         rc = main(["pattern", "--port", "9Z", "--f0", "5.2GHz"])

@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from butlercad.components import (
+    branchline_hybrid_circuit,
+    crossover_circuit,
     device_from_spec,
     ideal_hybrid,
     matched_load,
     phase_shifter,
+    shunt_junction,
     tline,
 )
 from butlercad.errors import NetlistError, ResonantLoopError
-from butlercad.network import (
-    Netlist,
-    excite,
-    interconnect,
-    netlist_from_json,
-    netlist_to_json,
-    sweep,
-)
+from butlercad.microstrip import Substrate
+from butlercad.network import Netlist, interconnect, netlist_from_json, netlist_to_json
 from butlercad.sparams import DeviceModel, ScatteringMatrix
 from oracles import cascade_two_hybrids, partition_reduce
 
@@ -172,13 +169,6 @@ class TestFailureModes:
         with pytest.raises(NetlistError, match="reference"):
             interconnect(net, F0)
 
-    def test_excite_validates_port_index(self):
-        from butlercad.butler import build_butler_4x4
-
-        net = build_butler_4x4("ideal", F0)
-        with pytest.raises(ValueError):
-            excite(net, 5, F0)
-
 
 class TestPersistence:
     def test_json_round_trip_preserves_response(self):
@@ -194,6 +184,30 @@ class TestPersistence:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda z: tline(60.0, 0.02, 2.2, z_ref=z),
+            lambda z: shunt_junction(3, z),
+            lambda z: branchline_hybrid_circuit(2.6e9, Substrate(3.0, 0.8e-3), z),
+            lambda z: crossover_circuit(2.6e9, Substrate(3.0, 0.8e-3), z),
+        ],
+        ids=["tline", "shunt_junction", "branchline_hybrid", "crossover_circuit"],
+    )
+    def test_json_round_trip_keeps_reference_impedance(self, make):
+        dev = make(75.0)
+        net = Netlist()
+        net.add("D", dev)
+        net.expose(*[("D", p) for p in range(1, dev.n_ports + 1)])
+        back = netlist_from_json(netlist_to_json(net), device_from_spec)
+        got, want = interconnect(back, 3e9), interconnect(net, 3e9)
+        assert got.z_ref == want.z_ref == 75.0
+        np.testing.assert_allclose(got.entries, want.entries, atol=1e-12)
+
+    def test_record_without_reference_impedance_loads_at_50_ohm(self):
+        params = {"z0_ohm": 60.0, "length_m": 0.02, "eps_reff": 2.2}
+        assert device_from_spec("tline", params).at(3e9).z_ref == 50.0
+
     def test_json_document_shape(self):
         import json
 
@@ -205,16 +219,6 @@ class TestPersistence:
         }
         assert len(doc["connections"]) == 10
         assert len(doc["external_ports"]) == 8
-
-
-class TestSweep:
-    def test_sweep_sorted_and_consistent(self):
-        net = _two_port_net(tline(60.0, 0.003, 2.2))
-        out = sweep(net, [2e9, 1e9, 3e9])
-        assert [f for f, _ in out] == [1e9, 2e9, 3e9]
-        np.testing.assert_allclose(
-            out[1][1].entries, interconnect(net, 2e9).entries, atol=0
-        )
 
 
 def test_device_model_port_count_check():

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from butlercad.components import ideal_hybrid
 from butlercad.errors import TouchstoneError, TouchstoneParseError
@@ -75,6 +78,21 @@ class TestWriting:
         ]
         with pytest.raises(TouchstoneError, match="port"):
             touchstone_write(sweep, 2, "RI", io.StringIO())
+
+    @pytest.mark.parametrize(
+        "f, entry, z_ref",
+        [(math.nan, 0.1, 50.0), (math.inf, 0.1, 50.0), (2e9, complex(math.nan, 0), 50.0),
+         (2e9, complex(0, math.inf), 50.0), (2e9, 0.1, math.nan), (2e9, 0.1, math.inf)],
+    )
+    def test_rejects_non_finite_before_writing(self, tmp_path, f, entry, z_ref):
+        m = np.full((2, 2), 0.1, dtype=complex)
+        m[1, 0] = entry
+        sweep = [(1e9, ScatteringMatrix(np.zeros((2, 2)), z_ref=z_ref)),
+                 (f, ScatteringMatrix(m, z_ref=z_ref))]
+        path = tmp_path / "bad.s2p"
+        with pytest.raises(TouchstoneError, match="non-finite"):
+            touchstone_write(sweep, 2, "RI", path)
+        assert not path.exists()
 
     def test_deterministic_bytes(self):
         sweep = _random_sweep(3, 4)
@@ -214,3 +232,38 @@ class TestRoundTrips:
         back = touchstone_read(dst)
         for (f0, s0), (f1, s1) in zip(sweep, back):
             assert np.max(np.abs(s1.entries - s0.entries)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 10),
+    fmt=st.sampled_from(["RI", "MA", "DB"]),
+    unit=st.sampled_from(["Hz", "kHz", "MHz", "GHz"]),
+    f_first=st.floats(1e3, 1e11),
+    n_freqs=st.integers(1, 3),
+)
+def test_write_read_round_trip_property(data, n, fmt, unit, f_first, n_freqs):
+    entry = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    sweep = [
+        (f_first * (1.0 + 0.01 * k),
+         ScatteringMatrix(data.draw(arrays(complex, (n, n), elements=entry))))
+        for k in range(n_freqs)
+    ]
+    first, second = io.StringIO(), io.StringIO()
+    touchstone_write(sweep, n, fmt, first, unit=unit)
+    touchstone_write(sweep, n, fmt, second, unit=unit)
+    assert first.getvalue() == second.getvalue()
+
+    data_lines = [
+        ln for ln in first.getvalue().splitlines() if not ln.startswith(("!", "#"))
+    ]
+    per_freq = 1 if n <= 2 else n * -(-n // 4)  # rows wrap after four pairs
+    assert len(data_lines) == n_freqs * per_freq
+    assert all(len(ln.split()) <= 9 for ln in data_lines)
+
+    back = touchstone_read(io.StringIO(first.getvalue()), n_ports=n)
+    assert len(back) == n_freqs
+    for (f0, s0), (f1, s1) in zip(sweep, back):
+        assert abs(f1 - f0) <= 5e-9 * f0  # frequencies carry 9 significant digits
+        assert np.max(np.abs(s1.entries - s0.entries)) <= 1e-9
