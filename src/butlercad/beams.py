@@ -34,8 +34,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_elements < 2:
             raise ValueError("need at least 2 elements")
-        if self.spacing_d <= 0 or self.frequency <= 0:
-            raise ValueError("spacing and frequency must be positive")
+        if not (0 < self.spacing_d < math.inf and 0 < self.frequency < math.inf):
+            raise ValueError("spacing and frequency must be positive and finite")
 
     @property
     def wavenumber(self) -> float:

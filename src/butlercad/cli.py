@@ -41,20 +41,21 @@ class CliError(ButlerCadError):
 
 def _parse_with_units(value, units: dict[str, float], what: str) -> float:
     if isinstance(value, (int, float)):
-        return float(value)
-    m = _NUM_UNIT_RE.match(str(value))
-    if not m:
-        raise CliError(f"cannot parse {what} {value!r}")
-    number, suffix = m.group(1), m.group(2).lower()
-    scale = 1.0
-    if suffix:
-        if suffix not in units:
+        x = float(value)
+    else:
+        m = _NUM_UNIT_RE.match(str(value))
+        if not m:
+            raise CliError(f"cannot parse {what} {value!r}")
+        number, suffix = m.group(1), m.group(2).lower()
+        if suffix and suffix not in units:
             raise CliError(f"unknown {what} unit {suffix!r} in {value!r}")
-        scale = units[suffix]
-    try:
-        return float(number) * scale
-    except ValueError:
-        raise CliError(f"cannot parse {what} {value!r}") from None
+        try:
+            x = float(number) * units.get(suffix, 1.0)
+        except ValueError:
+            raise CliError(f"cannot parse {what} {value!r}") from None
+    if not math.isfinite(x):
+        raise CliError(f"{what} {value!r} is not finite")
+    return x
 
 
 def parse_frequency(value) -> float:

@@ -30,7 +30,7 @@ class NetlistError(ButlerCadError):
 
 
 class ResonantLoopError(ButlerCadError):
-    """Port elimination hit a singular denominator (ideal resonant loop)."""
+    """Port elimination hit |D| < 1e-7: a lossless loop at or near resonance."""
 
 
 class TouchstoneError(ButlerCadError):

@@ -2,20 +2,21 @@
 
 A :class:`Netlist` is a set of named devices, a list of port-to-port
 connections, and an ordered list of external ports.  ``interconnect``
-stacks every device matrix into one block-diagonal matrix and then
-eliminates the connected port pairs one at a time.
-
-Joining ports p and q of the composite matrix S (same reference impedance,
-ideal junction) removes both ports and updates every remaining entry as
+stacks every device matrix into one block-diagonal matrix S and joins the
+connected port pairs one at a time, in place, so every port stays at its
+stacked index.  Joining ports p and q (same reference impedance, ideal
+junction) updates every entry as
 
     D     = (1 - S_pq) * (1 - S_qp) - S_pp * S_qq
     S'_ij = S_ij + [ S_pj * S_iq * (1 - S_qp) + S_qj * S_ip * (1 - S_pq)
                      + S_pj * S_qq * S_ip     + S_qj * S_pp * S_iq ] / D
 
-which is the standard self-connection reduction; connecting ports of two
-different sub-blocks is the same formula applied to the block-diagonal
-stack (the cross terms are then zero and D collapses to 1 - S_pp * S_qq).
-The result does not depend on the elimination order.
+and then zeroes rows and columns p and q, so the joined ports drop out of
+every later join.  This is the standard self-connection reduction;
+connecting ports of two different sub-blocks is the same formula applied
+to the block-diagonal stack (the cross terms are then zero and D collapses
+to 1 - S_pp * S_qq).  The external ports are read out of S last, in their
+declared order; the result does not depend on the elimination order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from .sparams import ScatteringMatrix, DeviceModel
 
 PortRef = tuple[str, int]  # (device name, 1-based port)
 
-RESONANCE_TOL = 1e-12  # |D| below this means an exactly resonant ideal loop
+# Passive blocks have |S| <= 1, so |D| bounds how far the pair's 2x2 connection
+# matrix is from singular; a lossless result's unitarity residual is ~1.4e-17/|D|.
+RESONANCE_TOL = 1e-7
 
 
 @dataclass
@@ -85,58 +88,47 @@ class Netlist:
             raise NetlistError(f"dangling ports: {', '.join(dangling)}")
 
 
-def _eliminate_pair(s: np.ndarray, p: int, q: int, tag: str) -> np.ndarray:
-    denom = (1.0 - s[p, q]) * (1.0 - s[q, p]) - s[p, p] * s[q, q]
+def _eliminate_pair(s: np.ndarray, p: int, q: int, tag: str) -> None:
+    s_pq, s_qp, s_pp, s_qq = s[p, q], s[q, p], s[p, p], s[q, q]
+    denom = (1.0 - s_pq) * (1.0 - s_qp) - s_pp * s_qq
     if abs(denom) < RESONANCE_TOL:
         raise ResonantLoopError(
             f"connection {tag} forms a resonant loop (|denominator| = {abs(denom):.3e})"
         )
-    keep = [k for k in range(s.shape[0]) if k not in (p, q)]
-    col_q = s[keep, q]
-    col_p = s[keep, p]
-    row_p = s[p, keep]
-    row_q = s[q, keep]
-    return s[np.ix_(keep, keep)] + (
-        np.outer(col_q, row_p) * (1.0 - s[q, p])
-        + np.outer(col_p, row_q) * (1.0 - s[p, q])
-        + np.outer(col_p, row_p) * s[q, q]
-        + np.outer(col_q, row_q) * s[p, p]
+    col_p, col_q = s[:, p].copy(), s[:, q].copy()
+    row_p, row_q = s[p].copy(), s[q].copy()
+    s += (
+        np.outer(col_q, row_p) * (1.0 - s_qp)
+        + np.outer(col_p, row_q) * (1.0 - s_pq)
+        + np.outer(col_p, row_p) * s_qq
+        + np.outer(col_q, row_q) * s_pp
     ) / denom
+    s[[p, q]] = s[:, [p, q]] = 0.0
 
 
 def interconnect(net: Netlist, frequency: float) -> ScatteringMatrix:
     """S-matrix seen at the external ports, in their declared order."""
     net.validate()
-    names = list(net.devices)
-    blocks = {name: net.devices[name].at(frequency) for name in names}
+    blocks = {name: dev.at(frequency) for name, dev in net.devices.items()}
     z_refs = {b.z_ref for b in blocks.values()}
     if len(z_refs) > 1:
         raise NetlistError(f"mixed reference impedances {sorted(z_refs)}")
-    z_ref = z_refs.pop()
 
-    offset = {}
-    n_total = 0
-    for name in names:
-        offset[name] = n_total
-        n_total += blocks[name].n_ports
+    offset, n_total = {}, 0
+    for name, block in blocks.items():
+        offset[name], n_total = n_total, n_total + block.n_ports
     s = np.zeros((n_total, n_total), dtype=complex)
-    for name in names:
-        o = offset[name]
-        n = blocks[name].n_ports
-        s[o : o + n, o : o + n] = blocks[name].entries
+    for name, block in blocks.items():
+        span = slice(offset[name], offset[name] + block.n_ports)
+        s[span, span] = block.entries
 
     def gidx(ref: PortRef) -> int:
         return offset[ref[0]] + ref[1] - 1
 
-    live = list(range(n_total))
     for a, b in net.connections:
-        p, q = live.index(gidx(a)), live.index(gidx(b))
-        tag = f"{a[0]}.{a[1]} <-> {b[0]}.{b[1]}"
-        s = _eliminate_pair(s, p, q, tag)
-        live = [k for k in live if k not in (gidx(a), gidx(b))]
-
-    order = [live.index(gidx(ref)) for ref in net.external_ports]
-    return ScatteringMatrix(s[np.ix_(order, order)], z_ref=z_ref)
+        _eliminate_pair(s, gidx(a), gidx(b), f"{a[0]}.{a[1]} <-> {b[0]}.{b[1]}")
+    order = [gidx(ref) for ref in net.external_ports]
+    return ScatteringMatrix(s[np.ix_(order, order)], z_ref=z_refs.pop())
 
 
 # --- JSON persistence -------------------------------------------------------

@@ -180,3 +180,12 @@ def test_geometry_validation():
         ArrayGeometry(1, 0.01, F0)
     with pytest.raises(ValueError):
         ArrayGeometry(4, -0.01, F0)
+
+
+@pytest.mark.parametrize(
+    "spacing,frequency",
+    [(math.inf, F0), (math.nan, F0), (0.01, math.inf), (0.01, math.nan)],
+)
+def test_geometry_needs_finite_spacing_and_frequency(spacing, frequency):
+    with pytest.raises(ValueError, match="finite"):
+        ArrayGeometry(4, spacing, frequency)

@@ -8,7 +8,7 @@ import pytest
 
 from butlercad.beams import array_factor, default_angle_grid, half_wave_geometry
 from butlercad.butler import build_butler_4x4, excitation_table
-from butlercad.cli import main, parse_frequency, parse_length
+from butlercad.cli import CliError, main, parse_frequency, parse_length
 from butlercad.touchstone import touchstone_read
 
 DESIGN_ARGS = ["design", "--freq", "5.2GHz", "--er", "4.9", "--h", "1.6mm"]
@@ -28,6 +28,11 @@ class TestUnitParsing:
     )
     def test_length(self, text, expect):
         assert parse_length(text) == pytest.approx(expect)
+
+    @pytest.mark.parametrize("text", ["1e999", "1e999GHz", "1e308GHz", float("nan")])
+    def test_non_finite_is_rejected(self, text):
+        with pytest.raises(CliError, match="not finite"):
+            parse_frequency(text)
 
     def test_bad_unit_is_one_line_error(self, capsys):
         rc = main(["design", "--freq", "5.2parsec", "--er", "4.9", "--h", "1.6mm"])
@@ -214,6 +219,36 @@ class TestButlerCommand:
         )
         assert rc == 2
         assert "f_start" in capsys.readouterr().err
+
+
+class TestNonFiniteValues:
+    @pytest.mark.filterwarnings("error")  # a leaked numpy warning fails the test
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pattern", "--port", "1R", "--f0", "1e-320"],
+            ["pattern", "--port", "1R", "--f0", "5.2GHz", "--spacing", "1e999mm"],
+            ["butler", "--fidelity", "ideal", "--f0", "5.2GHz", "--f-start", "1GHz",
+             "--f-stop", "1e999", "--n-points", "3"],
+        ],
+        ids=["tiny-f0", "infinite-spacing", "infinite-f-stop"],
+    )
+    def test_is_one_line(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_scenario_number_is_one_line(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        scen.write_text('{"freq": 1e999, "er": 4.9, "h": "1.6mm"}')  # loads as inf
+        rc = main(["design", "--scenario", str(scen)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "butlercad: error: --freq: frequency inf is not finite\n"
 
 
 class TestPatternCommand:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butlercad.components import (
     branchline_hybrid_circuit,
@@ -125,6 +127,54 @@ class TestEliminationProperties:
         assert s.is_reciprocal(1e-9)
 
 
+def _lossless_reciprocal(rng, n):
+    """S = Q Q^T with Q unitary: symmetric and unitary."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q @ q.T
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_lossless_netlist_property(sizes, seed):
+    rng = np.random.default_rng(seed)
+    net = Netlist()
+    refs = []
+    stack = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    for k, n in enumerate(sizes):
+        m = _lossless_reciprocal(rng, n)
+        net.add(f"D{k}", DeviceModel(f"D{k}", n, lambda f, m=m: ScatteringMatrix(m)))
+        stack[len(refs) : len(refs) + n, len(refs) : len(refs) + n] = m
+        refs += [(f"D{k}", p) for p in range(1, n + 1)]
+    shuffled = rng.permutation(len(refs))
+    n_pairs = int(rng.integers(0, (len(refs) - 1) // 2 + 1))  # expose at least one
+    pairs = [(int(a), int(b)) for a, b in shuffled[: 2 * n_pairs].reshape(-1, 2)]
+    external = [int(k) for k in shuffled[2 * n_pairs :]]
+    for a, b in pairs:
+        net.connect(refs[a], refs[b])
+    net.expose(*[refs[k] for k in external])
+    try:
+        got = interconnect(net, F0)
+    except ResonantLoopError:
+        return
+    assert got.is_unitary(1e-9) and got.is_reciprocal(1e-9)
+    # the oracle keeps leftover ports in stacked order
+    order = [sorted(external).index(k) for k in external]
+    expected = partition_reduce(stack, pairs)[np.ix_(order, order)]
+    assert np.max(np.abs(got.entries - expected)) < 1e-9
+    reordered = Netlist(
+        devices=net.devices,
+        connections=[
+            (b, a) if rng.random() < 0.5 else (a, b)
+            for a, b in (net.connections[k] for k in rng.permutation(n_pairs))
+        ],
+        external_ports=net.external_ports,
+    )
+    assert np.max(np.abs(interconnect(reordered, F0).entries - got.entries)) < 1e-9
+
+
 class TestFailureModes:
     def test_resonant_loop_fails_loudly(self):
         # two cascaded half-wave lines closed on themselves resonate
@@ -135,6 +185,20 @@ class TestFailureModes:
         net.connect(("B", 2), ("A", 1))
         with pytest.raises(ResonantLoopError, match="B.2 <-> A.1"):
             interconnect(net, F0)
+
+    @pytest.mark.parametrize(
+        "delta", [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6]
+    )
+    def test_near_resonant_circuit_butler_raises_or_stays_unitary(self, delta):
+        # the branch-line rings resonate at twice the design frequency
+        from butlercad.butler import build_butler_4x4
+
+        net = build_butler_4x4("circuit", F0, Substrate(4.9, 1.6e-3))
+        try:
+            s = interconnect(net, 2.0 * F0 * (1.0 + delta))
+        except ResonantLoopError:
+            return
+        assert s.is_unitary(1e-9)
 
     def test_dangling_port_detected(self):
         net = Netlist()
