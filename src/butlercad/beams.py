@@ -34,8 +34,9 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_elements < 2:
             raise ValueError("need at least 2 elements")
-        if not (0 < self.spacing_d < math.inf and 0 < self.frequency < math.inf):
-            raise ValueError("spacing and frequency must be positive and finite")
+        if not (self.spacing_d > 0 and self.frequency > 0
+                and self.wavenumber * self.spacing_d < math.inf):
+            raise ValueError("spacing and frequency must be positive, beta*d finite")
 
     @property
     def wavenumber(self) -> float:
@@ -73,7 +74,6 @@ class PatternCut:
 
     angles: np.ndarray  # radians, strictly increasing, within [-pi/2, pi/2]
     magnitude: np.ndarray
-    input_port_label: str = ""
 
     def __post_init__(self):
         ang = np.asarray(self.angles, dtype=float)
@@ -117,7 +117,6 @@ def array_factor(
     angles: np.ndarray | None = None,
     element_model: str = "isotropic",
     normalize: bool = False,
-    label: str = "",
 ) -> PatternCut:
     """Superpose element waves into a pattern cut.
 
@@ -136,7 +135,7 @@ def array_factor(
         peak = float(np.max(field))
         if peak > 0.0:
             field = field / peak
-    return PatternCut(angles=th, magnitude=field, input_port_label=label)
+    return PatternCut(angles=th, magnitude=field)
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,10 @@ OUTDIR = Flag(
     "directory for relative output paths "
     "(default $BUTLERCAD_OUTDIR or the working directory)",
 )
-F0 = Flag("f0", parse_frequency, REQUIRED, "design frequency, e.g. 5.2GHz")
+F0 = Flag(
+    "f0", lambda v: _positive_finite(parse_frequency(v)), REQUIRED,
+    "design frequency, e.g. 5.2GHz",
+)
 FIDELITY = Flag(
     "fidelity", _one_of(FIDELITY_IDEAL, FIDELITY_CIRCUIT), FIDELITY_IDEAL,
     "component models: ideal|circuit",
@@ -227,17 +230,17 @@ def _cmd_butler(v: SimpleNamespace) -> int:
         raise CliError("sweep needs at least 2 points")
     net = _butler_net(v)
     frequencies = np.linspace(v.f_start, v.f_stop, v.n_points)
-    sweep_data = [(f, interconnect(net, f)) for f in frequencies]
+    s = np.array([interconnect(net, f).entries for f in frequencies])
 
     ts_path = _resolve(f"{v.prefix}_{v.fidelity}.s8p", v)
-    touchstone_write(sweep_data, 8, v.format, ts_path, unit=v.unit)
+    touchstone_write(frequencies, s, v.format, ts_path, unit=v.unit)
 
     rows = []
-    for f, s in sweep_data:
+    for f, m in zip(frequencies, s):
         for name in v.ports:
             j = butler.INPUT_PORT_NAMES.index(name)
             for k, out_name in enumerate(butler.OUTPUT_PORT_NAMES):
-                rows.append((name, f, out_name, s.entries[4 + k, j]))
+                rows.append((name, f, out_name, m[4 + k, j]))
     csv_path = _resolve(f"{v.prefix}_{v.fidelity}_excitations.csv", v)
     with csv_path.open("w", encoding="ascii", newline="\n") as fh:
         report.excitation_csv(rows, fh)
@@ -266,7 +269,6 @@ def _cmd_pattern(v: SimpleNamespace) -> int:
         angles=angles,
         element_model=v.element,
         normalize=True,
-        label=v.port,
     )
     if v.out:
         path = _resolve(v.out, v)

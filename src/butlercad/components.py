@@ -88,6 +88,8 @@ def phase_shifter(phi0: float, f0: float) -> DeviceModel:
         raise ValueError(f"f0 must be > 0, got {f0}")
 
     def evaluate(f: float) -> ScatteringMatrix:
+        if not math.isfinite(float(f) / f0):  # float: no numpy overflow warning
+            raise ValueError(f"phase shifter: f/f0 overflows for f0 = {float(f0)!r} Hz")
         t = np.exp(-1j * phi0 * f / f0)
         return ScatteringMatrix(np.array([[0, t], [t, 0]], dtype=complex))
 
@@ -112,8 +114,8 @@ def tline(
 
     then converted to S-parameters (see :func:`butlercad.sparams.abcd_to_s`).
     """
-    if z0 <= 0 or length <= 0 or eps_reff < 1.0:
-        raise ValueError("tline needs z0 > 0, length > 0, eps_reff >= 1")
+    if not (z0 > 0 and 0 < length < math.inf and eps_reff >= 1.0):
+        raise ValueError("tline needs z0 > 0, a finite length > 0, eps_reff >= 1")
 
     def evaluate(f: float) -> ScatteringMatrix:
         lam = microstrip.guided_wavelength(f, eps_reff)

@@ -159,7 +159,11 @@ def guided_wavelength(frequency: float, eps_reff: float) -> float:
         raise ValueError(f"frequency must be > 0, got {frequency}")
     if eps_reff < 1.0:
         raise ValueError(f"eps_reff must be >= 1, got {eps_reff}")
-    return C0 / frequency / math.sqrt(eps_reff)
+    # a Python float overflows to inf silently, where a numpy scalar would warn
+    lam = C0 / float(frequency) / math.sqrt(eps_reff)
+    if lam == math.inf:
+        raise ValueError(f"frequency {float(frequency)!r} Hz gives an infinite wavelength")
+    return lam
 
 
 def quarter_wave_length(frequency: float, eps_reff: float) -> float:

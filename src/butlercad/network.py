@@ -88,12 +88,13 @@ class Netlist:
             raise NetlistError(f"dangling ports: {', '.join(dangling)}")
 
 
-def _eliminate_pair(s: np.ndarray, p: int, q: int, tag: str) -> None:
+def _eliminate_pair(s: np.ndarray, p: int, q: int, tag: str, frequency: float) -> None:
     s_pq, s_qp, s_pp, s_qq = s[p, q], s[q, p], s[p, p], s[q, q]
     denom = (1.0 - s_pq) * (1.0 - s_qp) - s_pp * s_qq
     if abs(denom) < RESONANCE_TOL:
         raise ResonantLoopError(
-            f"connection {tag} forms a resonant loop (|denominator| = {abs(denom):.3e})"
+            f"connection {tag} forms a resonant loop at {frequency / 1e9:.9g} GHz "
+            f"(|denominator| = {abs(denom):.3e})"
         )
     col_p, col_q = s[:, p].copy(), s[:, q].copy()
     row_p, row_q = s[p].copy(), s[q].copy()
@@ -109,7 +110,12 @@ def _eliminate_pair(s: np.ndarray, p: int, q: int, tag: str) -> None:
 def interconnect(net: Netlist, frequency: float) -> ScatteringMatrix:
     """S-matrix seen at the external ports, in their declared order."""
     net.validate()
-    blocks = {name: dev.at(frequency) for name, dev in net.devices.items()}
+    blocks = {}
+    for name, dev in net.devices.items():
+        try:
+            blocks[name] = dev.at(frequency)
+        except ResonantLoopError as e:  # a loop inside a composite device
+            raise ResonantLoopError(f"{name}: {e}") from None
     z_refs = {b.z_ref for b in blocks.values()}
     if len(z_refs) > 1:
         raise NetlistError(f"mixed reference impedances {sorted(z_refs)}")
@@ -126,7 +132,8 @@ def interconnect(net: Netlist, frequency: float) -> ScatteringMatrix:
         return offset[ref[0]] + ref[1] - 1
 
     for a, b in net.connections:
-        _eliminate_pair(s, gidx(a), gidx(b), f"{a[0]}.{a[1]} <-> {b[0]}.{b[1]}")
+        tag = f"{a[0]}.{a[1]} <-> {b[0]}.{b[1]}"
+        _eliminate_pair(s, gidx(a), gidx(b), tag, frequency)
     order = [gidx(ref) for ref in net.external_ports]
     return ScatteringMatrix(s[np.ix_(order, order)], z_ref=z_refs.pop())
 

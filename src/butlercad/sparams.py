@@ -29,8 +29,8 @@ class ScatteringMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"entries must be a square matrix, got shape {m.shape}")
-        if self.z_ref <= 0:
-            raise ValueError(f"z_ref must be > 0, got {self.z_ref}")
+        if not 0 < self.z_ref < math.inf:
+            raise ValueError(f"z_ref must be positive and finite, got {self.z_ref}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

@@ -1,5 +1,8 @@
 """Touchstone v1 reader and writer for N-port S-parameter sweeps.
 
+A sweep is a strictly ascending frequency vector in Hz, shape ``(F,)``, and
+a complex ``(F, n, n)`` stack of S-matrices referenced to one impedance.
+
 Layout rules implemented (version 1 of the format):
 
 * one option line ``# <unit> S <fmt> R <z_ref>``, fields in any order,
@@ -26,13 +29,12 @@ import hashlib
 import math
 import re
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from . import __version__
 from .errors import TouchstoneError, TouchstoneParseError
-from .sparams import ScatteringMatrix
 
 UNIT_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 FORMATS = ("RI", "MA", "DB")
@@ -70,28 +72,27 @@ def _unpair(a: float, b: float, fmt: str) -> complex:
     )
 
 
-def _entry_order(n: int) -> list[tuple[int, int]]:
-    """Matrix positions (row, column) in file order for ``n`` ports."""
-    if n == 2:
-        return [(0, 0), (1, 0), (0, 1), (1, 1)]
-    return [(i, j) for i in range(n) for j in range(n)]
+def _entry_order(n: int) -> list[int]:
+    """Row-major indices of the flattened matrix, in file order, for ``n`` ports."""
+    return [0, 2, 1, 3] if n == 2 else list(range(n * n))
 
 
-def content_hash(sweep: Sequence[tuple[float, ScatteringMatrix]]) -> str:
+def content_hash(frequencies: np.ndarray, s: np.ndarray) -> str:
     """Deterministic digest of the numeric payload."""
     h = hashlib.sha256()
-    for f, s in sweep:
+    for f, m in zip(frequencies, s):
         h.update(format(f, ".17g").encode())
-        h.update(np.ascontiguousarray(s.entries).tobytes())
+        h.update(np.ascontiguousarray(m).tobytes())
     return h.hexdigest()[:12]
 
 
 def touchstone_write(
-    sweep: Sequence[tuple[float, ScatteringMatrix]],
-    n_ports: int,
+    frequencies: np.ndarray,
+    s: np.ndarray,
     fmt: str,
     destination: str | Path | TextIO,
     unit: str = "GHz",
+    z_ref: float = 50.0,
 ) -> None:
     """Emit a Touchstone v1 document for the sweep."""
     fmt = fmt.upper()
@@ -100,39 +101,35 @@ def touchstone_write(
     unit_key = unit.upper()
     if unit_key not in UNIT_SCALE:
         raise TouchstoneError(f"unknown frequency unit {unit!r}")
-    if not sweep:
+    frequencies = np.asarray(frequencies, dtype=float)
+    s = np.asarray(s, dtype=complex)
+    if s.ndim != 3 or s.shape != frequencies.shape + (s.shape[1],) * 2 or not s.shape[1]:
+        raise TouchstoneError(
+            f"need frequencies (F,) and matrices (F, n, n), got {frequencies.shape}, {s.shape}"
+        )
+    if not frequencies.size:
         raise TouchstoneError("empty sweep")
-    freqs = [f for f, _ in sweep]
-    if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
+    if np.any(frequencies[1:] <= frequencies[:-1]):
         raise TouchstoneError("frequencies must be strictly ascending")
-    z_refs = {s.z_ref for _, s in sweep}
-    ports = {s.n_ports for _, s in sweep}
-    if ports != {n_ports}:
-        raise TouchstoneError(f"matrix port counts {sorted(ports)} != n_ports {n_ports}")
-    if len(z_refs) != 1:
-        raise TouchstoneError(f"mixed reference impedances {sorted(z_refs)}")
-    z_ref = z_refs.pop()
-    if not (
-        math.isfinite(z_ref)
-        and all(math.isfinite(f) and np.isfinite(s.entries).all() for f, s in sweep)
-    ):
-        raise TouchstoneError("non-finite frequency, entry or reference impedance")
+    if not (0 < z_ref < math.inf and np.isfinite(frequencies).all() and np.isfinite(s).all()):
+        raise TouchstoneError("non-finite frequency or entry, or z_ref not in (0, inf)")
 
+    n_ports = s.shape[1]
     scale = UNIT_SCALE[unit_key]
     unit_names = {"HZ": "Hz", "KHZ": "kHz", "MHZ": "MHz", "GHZ": "GHz"}
     lines = [
         f"! butlercad {__version__} {n_ports}-port S-parameter export",
-        f"! content-hash {content_hash(sweep)}",
+        f"! content-hash {content_hash(frequencies, s)}",
         f"# {unit_names[unit_key]} S {fmt} R {_fmt(z_ref)}",
     ]
-    order = _entry_order(n_ports)
     # from three ports up each matrix row starts a line; 1- and 2-port data share one
-    width = n_ports if n_ports > 2 else n_ports * n_ports
-    for f, s in sweep:
+    width = 2 * n_ports if n_ports > 2 else 2 * n_ports * n_ports
+    for f, entries in zip(frequencies, s.reshape(len(s), -1)[:, _entry_order(n_ports)]):
+        fields = [v for value in entries for v in _pair(value, fmt)]
         head = _fmt(f / scale) + " "
-        for r in range(0, len(order), width):
-            row = [v for i, j in order[r : r + width] for v in _pair(s.entries[i, j], fmt)]
-            for c in range(0, len(row), 8):  # four pairs per line
+        for r in range(0, len(fields), width):
+            row = fields[r : r + width]
+            for c in range(0, width, 8):  # four pairs per line
                 lines.append(head + " ".join(_fmt_data(v) for v in row[c : c + 8]))
                 head = "  "
     text = "\n".join(lines) + "\n"
@@ -143,15 +140,10 @@ def touchstone_write(
         Path(destination).write_text(text, encoding="ascii")
 
 
-def _infer_ports_from_name(name: str) -> int | None:
-    m = _EXT_RE.search(name)
-    return int(m.group(1)) if m else None
-
-
 def touchstone_read(
     source: str | Path | TextIO, n_ports: int | None = None
-) -> list[tuple[float, ScatteringMatrix]]:
-    """Parse a Touchstone v1 document into (frequency_hz, matrix) samples."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Parse a Touchstone v1 document into (frequencies in Hz, (F, n, n) stack, z_ref)."""
     if hasattr(source, "read"):
         text = source.read()
         name = getattr(source, "name", "")
@@ -159,7 +151,8 @@ def touchstone_read(
         path = Path(source)
         text = path.read_text(encoding="ascii")
         name = path.name
-    inferred = _infer_ports_from_name(str(name))
+    m = _EXT_RE.search(str(name))
+    inferred = int(m.group(1)) if m else None
     if n_ports is not None and inferred is not None and n_ports != inferred:
         raise TouchstoneParseError(
             f"extension says {inferred} ports but caller says {n_ports}"
@@ -174,7 +167,9 @@ def touchstone_read(
     fmt = "MA"
     z_ref = 50.0
     seen_option = False
-    tokens: list[tuple[float, int]] = []  # (value, line number)
+    block = 1 + 2 * n * n
+    values: list[float] = []
+    record_lines: list[int] = []  # line number of each record's frequency token
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("!", 1)[0].strip()
@@ -184,35 +179,27 @@ def touchstone_read(
             if seen_option:
                 raise TouchstoneParseError("second option line", lineno)
             seen_option = True
-            fields = line[1:].split()
-            k = 0
-            while k < len(fields):
-                word = fields[k].upper()
+            fields = iter(line[1:].split())
+            for field in fields:
+                word = field.upper()
                 if word in UNIT_SCALE:
                     unit_scale = UNIT_SCALE[word]
                 elif word in FORMATS:
                     fmt = word
-                elif word == "S":
-                    pass
                 elif word in ("Y", "Z", "H", "G"):
-                    raise TouchstoneParseError(
-                        f"unsupported parameter type {word}", lineno
-                    )
+                    raise TouchstoneParseError(f"unsupported parameter type {word}", lineno)
                 elif word == "R":
-                    if k + 1 >= len(fields):
+                    z_text = next(fields, None)
+                    if z_text is None:
                         raise TouchstoneParseError("R with no impedance", lineno)
                     try:
-                        z_ref = float(fields[k + 1])
+                        z_ref = float(z_text)
                     except ValueError:
                         z_ref = math.nan
-                    if not (math.isfinite(z_ref) and z_ref > 0):
-                        raise TouchstoneParseError(
-                            f"bad impedance {fields[k + 1]!r}", lineno
-                        )
-                    k += 1
-                else:
+                    if not 0 < z_ref < math.inf:
+                        raise TouchstoneParseError(f"bad impedance {z_text!r}", lineno)
+                elif word != "S":
                     raise TouchstoneParseError(f"bad option token {word!r}", lineno)
-                k += 1
             continue
         for tok in line.split():
             try:
@@ -221,31 +208,28 @@ def touchstone_read(
                 raise TouchstoneParseError(f"non-numeric token {tok!r}", lineno) from None
             if not math.isfinite(value):
                 raise TouchstoneParseError(f"non-finite value {tok!r}", lineno)
-            tokens.append((value, lineno))
+            if len(values) % block == 0:
+                record_lines.append(lineno)
+            values.append(value)
 
-    block = 1 + 2 * n * n
-    if not tokens or len(tokens) % block != 0:
+    if not values or len(values) % block != 0:
         raise TouchstoneParseError(
-            f"token count {len(tokens)} is not a multiple of {block} "
+            f"token count {len(values)} is not a multiple of {block} "
             f"expected for {n} ports"
         )
 
     order = _entry_order(n)
-    out: list[tuple[float, ScatteringMatrix]] = []
-    prev_f = -math.inf
-    for b in range(0, len(tokens), block):
-        f = tokens[b][0] * unit_scale
-        if f <= prev_f:
+    frequencies = np.array([v * unit_scale for v in values[::block]])
+    s = np.empty((len(frequencies), n * n), dtype=complex)
+    for k, b in enumerate(range(0, len(values), block)):
+        if k and frequencies[k] <= frequencies[k - 1]:
             raise TouchstoneParseError(
-                "frequency not ascending (arity mismatch?)", tokens[b][1]
+                "frequency not ascending (arity mismatch?)", record_lines[k]
             )
-        prev_f = f
-        vals = [v for v, _ in tokens[b + 1 : b + block]]
-        m = np.empty((n, n), dtype=complex)
-        for (i, j), k in zip(order, range(0, len(vals), 2)):
-            m[i, j] = _unpair(vals[k], vals[k + 1], fmt)
-        out.append((f, ScatteringMatrix(m, z_ref=z_ref)))
-    return out
+        s[k, order] = [
+            _unpair(values[i], values[i + 1], fmt) for i in range(b + 1, b + block, 2)
+        ]
+    return frequencies, s.reshape(-1, n, n), z_ref
 
 
 def touchstone_convert(
@@ -256,6 +240,5 @@ def touchstone_convert(
     n_ports: int | None = None,
 ) -> None:
     """Re-emit a Touchstone file in another format or frequency unit."""
-    sweep = touchstone_read(source, n_ports=n_ports)
-    ports = sweep[0][1].n_ports
-    touchstone_write(sweep, ports, fmt=fmt, destination=destination, unit=unit)
+    frequencies, s, z_ref = touchstone_read(source, n_ports=n_ports)
+    touchstone_write(frequencies, s, fmt, destination, unit=unit, z_ref=z_ref)

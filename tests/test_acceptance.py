@@ -27,7 +27,6 @@ from butlercad.butler import (
 from butlercad.components import branchline_hybrid_circuit, ideal_hybrid, phase_shifter
 from butlercad.microstrip import Substrate, analyze_impedance, synthesize_width
 from butlercad.network import Netlist, interconnect
-from butlercad.sparams import ScatteringMatrix
 from butlercad.touchstone import touchstone_read, touchstone_write
 
 F0 = 5.2e9
@@ -152,19 +151,18 @@ def test_criterion_6_property_suites():
         assert np.max(np.abs(interconnect(shuffled, F0).entries - base)) < 1e-9
 
     # touchstone round trip below 1e-9 across every format and unit
-    sweep = []
-    for k in range(3):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        sweep.append((1e9 * (k + 1), ScatteringMatrix(0.3 * m)))
+    freqs = 1e9 * np.arange(1, 4)
+    sweep = np.array(
+        [0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) for _ in freqs]
+    )
     for fmt in ("RI", "MA", "DB"):
         for unit in ("Hz", "kHz", "MHz", "GHz"):
             buf = io.StringIO()
-            touchstone_write(sweep, 3, fmt, buf, unit=unit)
+            touchstone_write(freqs, sweep, fmt, buf, unit=unit)
             buf.seek(0)
-            back = touchstone_read(buf, n_ports=3)
-            for (f0_, s0), (f1, s1) in zip(sweep, back):
-                assert abs(f1 - f0_) <= 1e-9 * f0_
-                assert np.max(np.abs(s1.entries - s0.entries)) < 1e-9
+            f_back, s_back, _ = touchstone_read(buf, n_ports=3)
+            assert np.all(np.abs(f_back - freqs) <= 1e-9 * freqs)
+            assert np.max(np.abs(s_back - sweep)) < 1e-9
 
     # inset resistance round trip below 1e-9 relative
     for r in np.linspace(1.0, 317.0, 159):

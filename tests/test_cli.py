@@ -1,10 +1,14 @@
 """Command-line surface: outputs, determinism, scenario files, diagnostics."""
 
+import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butlercad.beams import array_factor, default_angle_grid, half_wave_geometry
 from butlercad.butler import build_butler_4x4, excitation_table
@@ -33,6 +37,36 @@ class TestUnitParsing:
     def test_non_finite_is_rejected(self, text):
         with pytest.raises(CliError, match="not finite"):
             parse_frequency(text)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        text=st.one_of(
+            st.text("0123456789+-.eE \tGHzkMmcuil", max_size=14),
+            st.builds(
+                "{}{}".format,
+                st.floats(),
+                st.sampled_from(["", "Hz", "kHz", "MHz", "GHz", "m", "cm", "mm", "um", "mil"]),
+            ),
+        ),
+        flag=st.sampled_from(["design --freq", "design --h", "pattern --f0", "pattern --spacing"]),
+    )
+    def test_unit_string_fuzz_is_success_or_one_line(self, text, flag):
+        command, name = flag.split()
+        base = {
+            "design": {"--freq": "5.2GHz", "--er": "4.9", "--h": "1.6mm"},
+            "pattern": {"--port": "1R", "--f0": "5.2GHz", "--step": "1"},
+        }[command]
+        argv = [command] + [f"{key}={value}" for key, value in {**base, name: text}.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        if rc == 0:
+            assert err.getvalue() == ""
+        else:
+            assert rc == 2
+            assert err.getvalue().count("\n") == 1, err.getvalue()
 
     def test_bad_unit_is_one_line_error(self, capsys):
         rc = main(["design", "--freq", "5.2parsec", "--er", "4.9", "--h", "1.6mm"])
@@ -162,10 +196,9 @@ class TestButlerCommand:
         beams_csv = tmp_path / "butler_ideal_beams.csv"
         assert s8p.exists() and exc.exists() and beams_csv.exists()
 
-        sweep = touchstone_read(s8p)
-        assert len(sweep) == 5
-        mid = sweep[2][1]
-        coupling_db = 20 * np.log10(np.abs(mid.entries[4:, :4]))
+        s = touchstone_read(s8p)[1]
+        assert s.shape == (5, 8, 8)
+        coupling_db = 20 * np.log10(np.abs(s[2, 4:, :4]))
         assert np.max(np.abs(coupling_db + 6.0206)) < 0.01
 
         rows = exc.read_text().splitlines()
@@ -196,9 +229,8 @@ class TestButlerCommand:
              "--n-points", "3", "--outdir", str(tmp_path)]
         )
         assert rc == 0
-        sweep = touchstone_read(tmp_path / "butler_circuit.s8p")
-        mid = sweep[1][1]  # exactly f0
-        coupling_db = 20 * np.log10(np.abs(mid.entries[4:, :4]))
+        s = touchstone_read(tmp_path / "butler_circuit.s8p")[1]
+        coupling_db = 20 * np.log10(np.abs(s[1, 4:, :4]))  # exactly f0
         assert np.max(np.abs(coupling_db + 6.0206)) < 0.5
 
     def test_outputs_are_deterministic(self, tmp_path):
@@ -211,6 +243,19 @@ class TestButlerCommand:
             a = (tmp_path / "one" / name).read_bytes()
             b = (tmp_path / "two" / name).read_bytes()
             assert a == b, name
+
+    def test_nested_resonance_names_device_and_frequency(self, tmp_path, capsys):
+        # the branch-line rings of HA..HD resonate at twice the design frequency
+        rc = main(
+            ["butler", "--fidelity", "circuit", "--er", "4.9", "--h", "1.6mm",
+             "--f0", "5.2GHz", "--f-start", "10GHz", "--f-stop", "10.8GHz",
+             "--n-points", "3", "--outdir", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert err.startswith("butlercad: error: HA: ")
+        assert "resonant loop at 10.4 GHz" in err
 
     def test_bad_sweep_rejected(self, capsys):
         rc = main(
@@ -230,8 +275,14 @@ class TestNonFiniteValues:
             ["pattern", "--port", "1R", "--f0", "5.2GHz", "--spacing", "1e999mm"],
             ["butler", "--fidelity", "ideal", "--f0", "5.2GHz", "--f-start", "1GHz",
              "--f-stop", "1e999", "--n-points", "3"],
+            ["butler", "--fidelity", "circuit", "--er", "4.9", "--h", "1.6mm",
+             "--f0", "5.2GHz", "--f-start", "1e-320", "--f-stop", "1GHz",
+             "--n-points", "3"],
+            ["pattern", "--port", "1R", "--f0", "0"],
+            ["pattern", "--port", "1R", "--f0", "1.5e308"],
         ],
-        ids=["tiny-f0", "infinite-spacing", "infinite-f-stop"],
+        ids=["tiny-f0", "infinite-spacing", "infinite-f-stop", "denormal-f-start",
+             "zero-f0", "overflowing-wavenumber"],
     )
     def test_is_one_line(self, tmp_path, capsys, argv):
         rc = main(argv + ["--outdir", str(tmp_path)])
@@ -239,6 +290,21 @@ class TestNonFiniteValues:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fidelity", ["ideal", "circuit"])
+    def test_denormal_design_frequency_is_named(self, tmp_path, capsys, fidelity):
+        rc = main(
+            ["butler", "--fidelity", fidelity, "--er", "4.9", "--h", "1.6mm",
+             "--f0", "1e-320", "--f-start", "1GHz", "--f-stop", "2GHz",
+             "--n-points", "3", "--outdir", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "1e-320 Hz" in captured.err
         assert list(tmp_path.iterdir()) == []
 
     def test_infinite_scenario_number_is_one_line(self, tmp_path, capsys):
@@ -263,7 +329,7 @@ class TestPatternCommand:
         amps = excitation_table(net, 5.2e9)["1R"]
         cut = array_factor(
             amps, half_wave_geometry(5.2e9), angles=default_angle_grid(0.5),
-            normalize=True, label="1R",
+            normalize=True,
         )
         buf = io.StringIO()
         cut.to_csv(buf)
@@ -301,9 +367,9 @@ class TestTouchstoneConvert:
         rc = main(["touchstone", "convert", str(src), str(dst), "--format", "DB",
                    "--unit", "MHz", "--outdir", str(tmp_path)])
         assert rc == 0
-        back = touchstone_read(dst)
-        assert back[0][0] == pytest.approx(1e9)
-        assert back[0][1].s(1, 1) == pytest.approx(0.25 - 0.5j, abs=1e-9)
+        freqs, s, _ = touchstone_read(dst)
+        assert freqs[0] == pytest.approx(1e9)
+        assert s[0, 0, 0] == pytest.approx(0.25 - 0.5j, abs=1e-9)
 
     def test_missing_file_single_line(self, capsys, tmp_path):
         rc = main(["touchstone", "convert", str(tmp_path / "no.s1p"),

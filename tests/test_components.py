@@ -82,6 +82,11 @@ class TestPhaseShifter:
         s = phase_shifter(math.pi / 4, F0).at(2 * F0)
         assert _phase_deg(s.s(2, 1)) == pytest.approx(-90.0, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_frequency_ratio_names_design_frequency(self):
+        with pytest.raises(ValueError, match="f0 = 1e-320 Hz"):
+            phase_shifter(math.pi / 4, 1e-320).at(F0)
+
     @pytest.mark.parametrize("f", ALL_FREQS)
     def test_unit_magnitude_everywhere(self, f):
         s = phase_shifter(math.pi / 4, F0).at(f)
@@ -112,6 +117,11 @@ class TestTline:
         dev = tline(50.0 / math.sqrt(2.0), lam / 4, 1.0, z_ref=50.0)
         s = dev.at(F0)
         assert abs(s.s(1, 1)) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan, 0.0])
+    def test_rejects_non_finite_or_empty_length(self, length):
+        with pytest.raises(ValueError, match="length"):
+            tline(50.0, length, 1.0)
 
     @pytest.mark.parametrize("f", ALL_FREQS)
     def test_lossless_and_reciprocal(self, f):

@@ -1,5 +1,7 @@
 """Interconnection engine: reductions, invariances, persistence, failures."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,3 +295,9 @@ def test_device_model_port_count_check():
     )
     with pytest.raises(ValueError, match="declared"):
         bad.at(F0)
+
+
+@pytest.mark.parametrize("z_ref", [math.nan, math.inf, 0.0, -50.0])
+def test_scattering_matrix_rejects_bad_reference_impedance(z_ref):
+    with pytest.raises(ValueError, match="z_ref"):
+        ScatteringMatrix(np.zeros((1, 1)), z_ref=z_ref)
