@@ -94,6 +94,99 @@ def partition_reduce(s: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
     return see + sei @ perm @ solved
 
 
+C0 = 299_792_458.0  # m/s, restated so the ring oracle needs no library import
+
+
+def _abcd_to_s(a, b, c, d, z_ref):
+    den = a + b / z_ref + c * z_ref + d
+    return (a + b / z_ref - c * z_ref - d) / den, 2.0 / den
+
+
+def branchline_ring(
+    frequency: float,
+    series_length: float,
+    series_eps_reff: float,
+    shunt_length: float,
+    shunt_eps_reff: float,
+    z_ref: float = 50.0,
+) -> np.ndarray:
+    """Raw branch-line ring (corner junctions, no reference rotation) by even/odd modes.
+
+    Series arms of z_ref/sqrt(2) join ports 1-2 and 4-3, shunt arms of z_ref
+    join 1-4 and 2-3 (Reed & Wheeler 1956; Pozar, Microwave Engineering 7.5).
+    The plane between ports 1/2 and 4/3 halves the shunt arms: driving 1 and
+    4 in phase leaves each half-length stub open, in antiphase shorted.  A
+    half circuit is the series arm between two such stubs, and its
+    reflection and transmission give column 1 as
+    ((Ge+Go)/2, (Te+To)/2, (Te-To)/2, (Ge-Go)/2); the mirror symmetries
+    1<->2 and 1<->4 give the other columns.
+    """
+    zs, zp = z_ref / SQRT2, z_ref
+    theta_s = 2.0 * math.pi * series_length * frequency * math.sqrt(series_eps_reff) / C0
+    theta_p = math.pi * shunt_length * frequency * math.sqrt(shunt_eps_reff) / C0
+    modes = []
+    for y_stub in (1j * math.tan(theta_p) / zp, -1j / (math.tan(theta_p) * zp)):
+        # [1 0; Y 1] [cos, j zs sin; j sin / zs, cos] [1 0; Y 1]
+        cs, sn = math.cos(theta_s), math.sin(theta_s)
+        a = cs + 1j * zs * sn * y_stub
+        b = 1j * zs * sn
+        c = y_stub * cs + 1j * sn / zs + y_stub * (cs + 1j * zs * sn * y_stub)
+        modes.append(_abcd_to_s(a, b, c, a, z_ref))
+    (ge, te), (go, to) = modes
+    a, b, c, d = (ge + go) / 2, (te + to) / 2, (te - to) / 2, (ge - go) / 2
+    return np.array(
+        [[a, b, c, d], [b, a, d, c], [c, d, a, b], [d, c, b, a]], dtype=complex
+    )
+
+
+def block_diagonal(*blocks: np.ndarray) -> np.ndarray:
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    k = 0
+    for b in blocks:
+        out[k : k + b.shape[0], k : k + b.shape[0]] = b
+        k += b.shape[0]
+    return out
+
+
+def _reduce_in_order(s, pairs, external):
+    """``partition_reduce`` with the external ports returned in ``external`` order."""
+    kept = sorted(external)
+    reduced = partition_reduce(s, pairs)
+    order = [kept.index(p) for p in external]
+    return reduced[np.ix_(order, order)]
+
+
+def circuit_crossover(hybrid: np.ndarray) -> np.ndarray:
+    """Two hybrids A, B in cascade: A.2-B.1, A.3-B.4; ports (A.1, B.2, B.3, A.4)."""
+    return _reduce_in_order(
+        block_diagonal(hybrid, hybrid), [(1, 4), (2, 7)], [0, 5, 6, 3]
+    )
+
+
+def circuit_butler(frequency: float, f0: float, hybrid: np.ndarray) -> np.ndarray:
+    """8x8 Butler of the frozen topology from one hybrid matrix, by partition.
+
+    Stacked ports: HA 0-3, HB 4-7, HC 8-11, HD 12-15, X1 16-19, X2 20-23,
+    PSA 24-25, PSB 26-27; external order (1R, 2L, 2R, 1L, A1..A4).
+    """
+    t = np.exp(-1j * (math.pi / 4.0) * frequency / f0)
+    shifter = np.array([[0, t], [t, 0]], dtype=complex)
+    crossover = circuit_crossover(hybrid)
+    s = block_diagonal(*[hybrid] * 4, crossover, crossover, shifter, shifter)
+    pairs = [
+        (1, 24), (25, 8),  # HA.2 - PSA - HC.1
+        (5, 26), (27, 16),  # HB.2 - PSB - X1.1
+        (6, 19),  # HB.3 - X1.4
+        (17, 23),  # X1.2 - X2.4
+        (18, 15),  # X1.3 - HD.4
+        (2, 20),  # HA.3 - X2.1
+        (21, 11),  # X2.2 - HC.4
+        (22, 12),  # X2.3 - HD.1
+    ]
+    return _reduce_in_order(s, pairs, [0, 3, 7, 4, 13, 9, 14, 10])
+
+
 def invert_width_by_bisection(width: float, substrate, lo=5.0, hi=400.0) -> float:
     """Impedance whose synthesized width equals ``width``; bisection oracle."""
     from butlercad.microstrip import synthesize_width
