@@ -20,7 +20,7 @@ from .microstrip import (  # noqa: F401
     quarter_wave_length,
     synthesize_width,
 )
-from .sparams import DeviceModel, ScatteringMatrix  # noqa: F401
+from .sparams import DeviceModel  # noqa: F401
 from .network import Netlist, interconnect, netlist_from_json, netlist_to_json  # noqa: F401
 from .components import (  # noqa: F401
     branchline_hybrid_circuit,

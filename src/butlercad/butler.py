@@ -109,7 +109,7 @@ def excitation_table(net: Netlist, frequency: float) -> dict[str, np.ndarray]:
     All other ports are matched.  One solve serves all four inputs: the
     entry of input k is column k of the composite's output rows.
     """
-    s = interconnect(net, frequency).entries
+    s = interconnect(net, frequency)
     return {name: s[4:, k] for k, name in enumerate(INPUT_PORT_NAMES)}
 
 

@@ -230,7 +230,7 @@ def _cmd_butler(v: SimpleNamespace) -> int:
         raise CliError("sweep needs at least 2 points")
     net = _butler_net(v)
     frequencies = np.linspace(v.f_start, v.f_stop, v.n_points)
-    s = np.array([interconnect(net, f).entries for f in frequencies])
+    s = np.array([interconnect(net, f) for f in frequencies])
 
     ts_path = _resolve(f"{v.prefix}_{v.fidelity}.s8p", v)
     touchstone_write(frequencies, s, v.format, ts_path, unit=v.unit)

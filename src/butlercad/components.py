@@ -24,14 +24,16 @@ import numpy as np
 from . import microstrip
 from .microstrip import Substrate
 from .network import Netlist, interconnect
-from .sparams import (
-    Z_REF_DEFAULT,
-    DeviceModel,
-    ScatteringMatrix,
-    abcd_to_s,
-)
+from .sparams import Z_REF_DEFAULT, DeviceModel, abcd_to_s
 
-_HYBRID_S = np.array(
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """Freeze ``m``: a constant device hands this one array to every caller."""
+    m.setflags(write=False)
+    return m
+
+
+_HYBRID_S = _read_only(np.array(
     [
         [0, 1j, 1, 0],
         [1j, 0, 0, 1],
@@ -39,9 +41,9 @@ _HYBRID_S = np.array(
         [0, 1, 1j, 0],
     ],
     dtype=complex,
-) / math.sqrt(2.0)
+) / math.sqrt(2.0))
 
-_CROSSOVER_S = np.array(
+_CROSSOVER_S = _read_only(np.array(
     [
         [0, 0, 1j, 0],
         [0, 0, 0, 1j],
@@ -49,36 +51,36 @@ _CROSSOVER_S = np.array(
         [0, 1j, 0, 0],
     ],
     dtype=complex,
-)
+))
 
 
-def ideal_hybrid() -> DeviceModel:
+def ideal_hybrid(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     """Lossless 3 dB quadrature hybrid, equal split with 90 degree offset.
 
     |S21| = |S31| = 1/sqrt(2), port 4 isolated, all ports matched; the
     through arm leads the coupled arm by 90 degrees at every frequency.
     """
-    matrix = ScatteringMatrix(_HYBRID_S)
     return DeviceModel(
         label="ideal 90deg hybrid (1 in, 2 through, 3 coupled, 4 isolated)",
         n_ports=4,
-        evaluate=lambda f: matrix,
+        evaluate=lambda f: _HYBRID_S,
         kind="ideal_hybrid",
+        params={"z_ref_ohm": z_ref},
     )
 
 
-def ideal_crossover() -> DeviceModel:
+def ideal_crossover(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     """Lossless line crossing: diagonal transmission j, adjacent ports isolated."""
-    matrix = ScatteringMatrix(_CROSSOVER_S)
     return DeviceModel(
         label="ideal crossover (1/4 left, 2/3 right, pairs 1-3 and 4-2)",
         n_ports=4,
-        evaluate=lambda f: matrix,
+        evaluate=lambda f: _CROSSOVER_S,
         kind="ideal_crossover",
+        params={"z_ref_ohm": z_ref},
     )
 
 
-def phase_shifter(phi0: float, f0: float) -> DeviceModel:
+def phase_shifter(phi0: float, f0: float, z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     """Matched line delaying by ``phi0`` radians at ``f0``.
 
     A fixed physical length shifts phase in proportion to frequency, so
@@ -87,18 +89,18 @@ def phase_shifter(phi0: float, f0: float) -> DeviceModel:
     if f0 <= 0:
         raise ValueError(f"f0 must be > 0, got {f0}")
 
-    def evaluate(f: float) -> ScatteringMatrix:
+    def evaluate(f: float) -> np.ndarray:
         if not math.isfinite(float(f) / f0):  # float: no numpy overflow warning
             raise ValueError(f"phase shifter: f/f0 overflows for f0 = {float(f0)!r} Hz")
         t = np.exp(-1j * phi0 * f / f0)
-        return ScatteringMatrix(np.array([[0, t], [t, 0]], dtype=complex))
+        return np.array([[0, t], [t, 0]], dtype=complex)
 
     return DeviceModel(
         label=f"phase shifter -{math.degrees(phi0):g} deg at f0 (1 in, 2 out)",
         n_ports=2,
         evaluate=evaluate,
         kind="phase_shifter",
-        params={"phi0_rad": phi0, "f0_hz": f0},
+        params={"phi0_rad": phi0, "f0_hz": f0, "z_ref_ohm": z_ref},
     )
 
 
@@ -117,7 +119,7 @@ def tline(
     if not (z0 > 0 and 0 < length < math.inf and eps_reff >= 1.0):
         raise ValueError("tline needs z0 > 0, a finite length > 0, eps_reff >= 1")
 
-    def evaluate(f: float) -> ScatteringMatrix:
+    def evaluate(f: float) -> np.ndarray:
         lam = microstrip.guided_wavelength(f, eps_reff)
         theta = 2.0 * math.pi * length / lam
         abcd = np.array(
@@ -127,7 +129,7 @@ def tline(
             ],
             dtype=complex,
         )
-        return ScatteringMatrix(abcd_to_s(abcd, z_ref), z_ref=z_ref)
+        return abcd_to_s(abcd, z_ref)
 
     return DeviceModel(
         label=f"lossless line z0={z0:g} ohm, l={length * 1e3:.4g} mm (1 in, 2 out)",
@@ -146,9 +148,8 @@ def shunt_junction(n_ports: int = 3, z_ref: float = Z_REF_DEFAULT) -> DeviceMode
     """
     if n_ports < 2:
         raise ValueError("junction needs at least 2 ports")
-    matrix = ScatteringMatrix(
-        np.full((n_ports, n_ports), 2.0 / n_ports, dtype=complex) - np.eye(n_ports),
-        z_ref=z_ref,
+    matrix = _read_only(
+        np.full((n_ports, n_ports), 2.0 / n_ports, dtype=complex) - np.eye(n_ports)
     )
     return DeviceModel(
         label=f"ideal {n_ports}-way shunt junction",
@@ -159,14 +160,17 @@ def shunt_junction(n_ports: int = 3, z_ref: float = Z_REF_DEFAULT) -> DeviceMode
     )
 
 
-def matched_load() -> DeviceModel:
+_LOAD_S = _read_only(np.zeros((1, 1), dtype=complex))
+
+
+def matched_load(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     """Reflectionless 1-port termination (S = 0)."""
-    matrix = ScatteringMatrix(np.zeros((1, 1), dtype=complex))
     return DeviceModel(
         label="matched load",
         n_ports=1,
-        evaluate=lambda f: matrix,
+        evaluate=lambda f: _LOAD_S,
         kind="matched_load",
+        params={"z_ref_ohm": z_ref},
     )
 
 
@@ -246,15 +250,10 @@ def branchline_hybrid_circuit(
     if f0 <= 0:
         raise ValueError(f"f0 must be > 0, got {f0}")
     net = _branchline_net(f0, substrate, z_ref)
-
-    def evaluate(f: float) -> ScatteringMatrix:
-        raw = interconnect(net, f)
-        return ScatteringMatrix(-raw.entries, z_ref=raw.z_ref)
-
     return DeviceModel(
         label="branch-line hybrid circuit (1 in, 2 through, 3 coupled, 4 isolated)",
         n_ports=4,
-        evaluate=evaluate,
+        evaluate=lambda f: -interconnect(net, f),
         kind="branchline_hybrid",
         params={
             "f0_hz": f0,
@@ -305,17 +304,17 @@ def device_from_spec(kind: str, params: dict) -> DeviceModel:
     """
     z_ref = params.get("z_ref_ohm", Z_REF_DEFAULT)
     if kind == "ideal_hybrid":
-        return ideal_hybrid()
+        return ideal_hybrid(z_ref)
     if kind == "ideal_crossover":
-        return ideal_crossover()
+        return ideal_crossover(z_ref)
     if kind == "phase_shifter":
-        return phase_shifter(params["phi0_rad"], params["f0_hz"])
+        return phase_shifter(params["phi0_rad"], params["f0_hz"], z_ref)
     if kind == "tline":
         return tline(params["z0_ohm"], params["length_m"], params["eps_reff"], z_ref)
     if kind == "shunt_junction":
         return shunt_junction(params.get("n_ports", 3), z_ref)
     if kind == "matched_load":
-        return matched_load()
+        return matched_load(z_ref)
     if kind == "branchline_hybrid":
         sub = Substrate(params["epsilon_r"], params["height_m"])
         return branchline_hybrid_circuit(params["f0_hz"], sub, z_ref)

@@ -1,7 +1,9 @@
 """Multiport S-parameter interconnection by sub-network growth.
 
 A :class:`Netlist` is a set of named devices, a list of port-to-port
-connections, and an ordered list of external ports.  ``interconnect``
+connections, and an ordered list of external ports.  Every device of a
+netlist must share one reference impedance (``DeviceModel.z_ref``), and
+``interconnect`` checks this before it evaluates any device.  It then
 stacks every device matrix into one block-diagonal matrix S and joins the
 connected port pairs one at a time, in place, so every port stays at its
 stacked index.  Joining ports p and q (same reference impedance, ideal
@@ -16,7 +18,8 @@ every later join.  This is the standard self-connection reduction;
 connecting ports of two different sub-blocks is the same formula applied
 to the block-diagonal stack (the cross terms are then zero and D collapses
 to 1 - S_pp * S_qq).  The external ports are read out of S last, in their
-declared order; the result does not depend on the elimination order.
+declared order, as a plain complex ndarray referenced to the devices'
+shared impedance; the result does not depend on the elimination order.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NetlistError, ResonantLoopError
-from .sparams import ScatteringMatrix, DeviceModel
+from .sparams import DeviceModel
 
 PortRef = tuple[str, int]  # (device name, 1-based port)
 
@@ -107,26 +110,23 @@ def _eliminate_pair(s: np.ndarray, p: int, q: int, tag: str, frequency: float) -
     s[[p, q]] = s[:, [p, q]] = 0.0
 
 
-def interconnect(net: Netlist, frequency: float) -> ScatteringMatrix:
+def interconnect(net: Netlist, frequency: float) -> np.ndarray:
     """S-matrix seen at the external ports, in their declared order."""
     net.validate()
-    blocks = {}
-    for name, dev in net.devices.items():
-        try:
-            blocks[name] = dev.at(frequency)
-        except ResonantLoopError as e:  # a loop inside a composite device
-            raise ResonantLoopError(f"{name}: {e}") from None
-    z_refs = {b.z_ref for b in blocks.values()}
+    z_refs = {dev.z_ref for dev in net.devices.values()}
     if len(z_refs) > 1:
         raise NetlistError(f"mixed reference impedances {sorted(z_refs)}")
 
     offset, n_total = {}, 0
-    for name, block in blocks.items():
-        offset[name], n_total = n_total, n_total + block.n_ports
+    for name, dev in net.devices.items():
+        offset[name], n_total = n_total, n_total + dev.n_ports
     s = np.zeros((n_total, n_total), dtype=complex)
-    for name, block in blocks.items():
-        span = slice(offset[name], offset[name] + block.n_ports)
-        s[span, span] = block.entries
+    for name, dev in net.devices.items():
+        span = slice(offset[name], offset[name] + dev.n_ports)
+        try:
+            s[span, span] = dev.at(frequency)
+        except ResonantLoopError as e:  # a loop inside a composite device
+            raise ResonantLoopError(f"{name}: {e}") from None
 
     def gidx(ref: PortRef) -> int:
         return offset[ref[0]] + ref[1] - 1
@@ -135,7 +135,7 @@ def interconnect(net: Netlist, frequency: float) -> ScatteringMatrix:
         tag = f"{a[0]}.{a[1]} <-> {b[0]}.{b[1]}"
         _eliminate_pair(s, gidx(a), gidx(b), tag, frequency)
     order = [gidx(ref) for ref in net.external_ports]
-    return ScatteringMatrix(s[np.ix_(order, order)], z_ref=z_refs.pop())
+    return s[np.ix_(order, order)]
 
 
 # --- JSON persistence -------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Scattering-matrix value types shared by every network model.
+"""The device model shared by every network, and the chain-to-S conversion.
 
-Ports are numbered from 1 in every public interface, matching RF usage
-(S21 is the transmission from port 1 into port 2).
+An S-matrix is a plain complex ``(n, n)`` ndarray; the reference impedance
+it is taken at belongs to the device that produced it.  Ports are numbered
+from 1 in every public interface, matching RF usage (S21 is the
+transmission from port 1 into port 2); array indices start at 0, so S21 is
+``s[1, 0]``.
 """
 
 from __future__ import annotations
@@ -19,70 +22,40 @@ FIDELITY_CIRCUIT = "circuit"
 
 
 @dataclass(frozen=True)
-class ScatteringMatrix:
-    """Square complex wave-ratio matrix at a single frequency."""
-
-    entries: np.ndarray
-    z_ref: float = Z_REF_DEFAULT
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"entries must be a square matrix, got shape {m.shape}")
-        if not 0 < self.z_ref < math.inf:
-            raise ValueError(f"z_ref must be positive and finite, got {self.z_ref}")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n_ports(self) -> int:
-        return self.entries.shape[0]
-
-    def s(self, i: int, j: int) -> complex:
-        """Entry S_ij with 1-based port indices."""
-        return complex(self.entries[i - 1, j - 1])
-
-    def magnitude_db(self, i: int, j: int) -> float:
-        return 20.0 * math.log10(max(abs(self.s(i, j)), 1e-300))
-
-    def phase_deg(self, i: int, j: int) -> float:
-        return math.degrees(np.angle(self.s(i, j)))
-
-    def is_reciprocal(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.T)) <= tol)
-
-    def is_unitary(self, tol: float = 1e-9) -> bool:
-        gram = self.entries.conj().T @ self.entries
-        return bool(np.max(np.abs(gram - np.eye(self.n_ports))) <= tol)
-
-
-@dataclass(frozen=True)
 class DeviceModel:
     """A multiport evaluable at any positive frequency.
 
-    ``kind`` plus ``params`` fully reconstruct the device, which is what the
-    netlist JSON round trip relies on.  ``label`` documents the port
-    numbering convention in words.
+    ``evaluate`` returns the complex ``(n_ports, n_ports)`` S-matrix
+    referenced to :attr:`z_ref`.  ``kind`` plus ``params`` fully reconstruct
+    the device, which is what the netlist JSON round trip relies on.
+    ``label`` documents the port numbering convention in words.
     """
 
     label: str
     n_ports: int
-    evaluate: Callable[[float], ScatteringMatrix]
+    evaluate: Callable[[float], np.ndarray]
     kind: str = ""
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_ports < 1:
             raise ValueError("n_ports must be >= 1")
+        if not 0 < self.z_ref < math.inf:
+            raise ValueError(f"z_ref must be positive and finite, got {self.z_ref}")
 
-    def at(self, frequency: float) -> ScatteringMatrix:
-        """Evaluate and sanity-check the declared port count."""
+    @property
+    def z_ref(self) -> float:
+        """Reference impedance of every port, ohm (``params["z_ref_ohm"]``, else 50)."""
+        return self.params.get("z_ref_ohm", Z_REF_DEFAULT)
+
+    def at(self, frequency: float) -> np.ndarray:
+        """Evaluate and sanity-check the shape against the declared port count."""
         if frequency <= 0:
             raise ValueError(f"frequency must be > 0, got {frequency}")
         s = self.evaluate(frequency)
-        if s.n_ports != self.n_ports:
+        if s.shape != (self.n_ports, self.n_ports):
             raise ValueError(
-                f"device {self.label!r} returned {s.n_ports} ports, declared {self.n_ports}"
+                f"device {self.label!r} returned shape {s.shape}, declared {self.n_ports} ports"
             )
         return s
 

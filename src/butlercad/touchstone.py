@@ -56,6 +56,8 @@ def _pair(value: complex, fmt: str) -> tuple[float, float]:
     if fmt == "RI":
         return value.real, value.imag
     mag = abs(value)
+    if mag == math.inf:  # finite parts whose magnitude is not a float
+        raise TouchstoneError(f"|{value}| overflows in {fmt} format")
     ang = math.degrees(np.angle(value))
     if fmt == "MA":
         return mag, ang
@@ -222,13 +224,22 @@ def touchstone_read(
     frequencies = np.array([v * unit_scale for v in values[::block]])
     s = np.empty((len(frequencies), n * n), dtype=complex)
     for k, b in enumerate(range(0, len(values), block)):
+        if not math.isfinite(frequencies[k]):
+            raise TouchstoneParseError(
+                f"frequency {values[b]!r} overflows once scaled to Hz", record_lines[k]
+            )
         if k and frequencies[k] <= frequencies[k - 1]:
             raise TouchstoneParseError(
                 "frequency not ascending (arity mismatch?)", record_lines[k]
             )
-        s[k, order] = [
-            _unpair(values[i], values[i + 1], fmt) for i in range(b + 1, b + block, 2)
-        ]
+        try:
+            s[k, order] = [
+                _unpair(values[i], values[i + 1], fmt) for i in range(b + 1, b + block, 2)
+            ]
+        except OverflowError:  # a DB magnitude above about 6165 dB
+            raise TouchstoneParseError(
+                "entry overflows in the record starting on this line", record_lines[k]
+            ) from None
     return frequencies, s.reshape(-1, n, n), z_ref
 
 

@@ -21,6 +21,16 @@ CROSSOVER = np.array(
 )
 
 
+def unitarity_residual(s: np.ndarray) -> float:
+    """max |S^H S - I|: zero for a lossless network."""
+    return float(np.max(np.abs(s.conj().T @ s - np.eye(s.shape[0]))))
+
+
+def reciprocity_residual(s: np.ndarray) -> float:
+    """max |S - S^T|: zero for a reciprocal network."""
+    return float(np.max(np.abs(s - s.T)))
+
+
 def stage_butler_response(frequency: float, f0: float) -> dict[str, np.ndarray]:
     """Array-port waves per input port by explicit stage multiplication.
 
@@ -124,10 +134,10 @@ def branchline_ring(
     zs, zp = z_ref / SQRT2, z_ref
     theta_s = 2.0 * math.pi * series_length * frequency * math.sqrt(series_eps_reff) / C0
     theta_p = math.pi * shunt_length * frequency * math.sqrt(shunt_eps_reff) / C0
+    cs, sn = math.cos(theta_s), math.sin(theta_s)
     modes = []
     for y_stub in (1j * math.tan(theta_p) / zp, -1j / (math.tan(theta_p) * zp)):
         # [1 0; Y 1] [cos, j zs sin; j sin / zs, cos] [1 0; Y 1]
-        cs, sn = math.cos(theta_s), math.sin(theta_s)
         a = cs + 1j * zs * sn * y_stub
         b = 1j * zs * sn
         c = y_stub * cs + 1j * sn / zs + y_stub * (cs + 1j * zs * sn * y_stub)
@@ -139,7 +149,7 @@ def branchline_ring(
     )
 
 
-def block_diagonal(*blocks: np.ndarray) -> np.ndarray:
+def _block_diagonal(*blocks: np.ndarray) -> np.ndarray:
     n = sum(b.shape[0] for b in blocks)
     out = np.zeros((n, n), dtype=complex)
     k = 0
@@ -160,7 +170,7 @@ def _reduce_in_order(s, pairs, external):
 def circuit_crossover(hybrid: np.ndarray) -> np.ndarray:
     """Two hybrids A, B in cascade: A.2-B.1, A.3-B.4; ports (A.1, B.2, B.3, A.4)."""
     return _reduce_in_order(
-        block_diagonal(hybrid, hybrid), [(1, 4), (2, 7)], [0, 5, 6, 3]
+        _block_diagonal(hybrid, hybrid), [(1, 4), (2, 7)], [0, 5, 6, 3]
     )
 
 
@@ -173,7 +183,7 @@ def circuit_butler(frequency: float, f0: float, hybrid: np.ndarray) -> np.ndarra
     t = np.exp(-1j * (math.pi / 4.0) * frequency / f0)
     shifter = np.array([[0, t], [t, 0]], dtype=complex)
     crossover = circuit_crossover(hybrid)
-    s = block_diagonal(*[hybrid] * 4, crossover, crossover, shifter, shifter)
+    s = _block_diagonal(*[hybrid] * 4, crossover, crossover, shifter, shifter)
     pairs = [
         (1, 24), (25, 8),  # HA.2 - PSA - HC.1
         (5, 26), (27, 16),  # HB.2 - PSB - X1.1

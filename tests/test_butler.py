@@ -18,7 +18,7 @@ from butlercad.butler import (
 )
 from butlercad.microstrip import Substrate
 from butlercad.network import interconnect
-from oracles import stage_butler_response
+from oracles import reciprocity_residual, stage_butler_response, unitarity_residual
 
 F0 = 5.2e9
 FR4 = Substrate(4.9, 1.6e-3)
@@ -66,10 +66,10 @@ class TestCensusAndShape:
 
 class TestIdealComposite:
     def test_unitary(self, ideal_s8):
-        assert ideal_s8.is_unitary(1e-9)
+        assert unitarity_residual(ideal_s8) <= 1e-9
 
     def test_reciprocal(self, ideal_s8):
-        assert ideal_s8.is_reciprocal(1e-9)
+        assert reciprocity_residual(ideal_s8) <= 1e-9
 
     def test_matches_golden_amplitudes(self, ideal_net):
         table = excitation_table(ideal_net, F0)
@@ -119,13 +119,13 @@ def circuit_net():
 class TestCircuitComposite:
     def test_couplings_at_f0_near_quarter_power(self, circuit_net):
         s = interconnect(circuit_net, F0)
-        coupling_db = 20 * np.log10(np.abs(s.entries[4:, :4]))
+        coupling_db = 20 * np.log10(np.abs(s[4:, :4]))
         assert np.max(np.abs(coupling_db - (-6.0206))) < 0.5
 
     def test_reciprocal_and_lossless_at_f0(self, circuit_net):
         s = interconnect(circuit_net, F0)
-        assert s.is_reciprocal(1e-9)
-        assert s.is_unitary(1e-9)
+        assert reciprocity_residual(s) <= 1e-9
+        assert unitarity_residual(s) <= 1e-9
 
     def test_progressions_at_f0_match_ideal_map(self, circuit_net):
         table = excitation_table(circuit_net, F0)
@@ -141,7 +141,7 @@ def test_excitation_table_equals_excite_per_port(request, net_fixture, f):
     # exciting input k alone is column k of the composite's output rows
     net = request.getfixturevalue(net_fixture)
     table = excitation_table(net, f)
-    s = interconnect(net, f).entries
+    s = interconnect(net, f)
     assert list(table) == list(INPUT_PORT_NAMES)
     for k, name in enumerate(INPUT_PORT_NAMES):
         np.testing.assert_array_equal(table[name], s[4:, k])

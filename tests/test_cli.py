@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from butlercad.beams import array_factor, default_angle_grid, half_wave_geometry
 from butlercad.butler import build_butler_4x4, excitation_table
 from butlercad.cli import CliError, main, parse_frequency, parse_length
+from butlercad.errors import TouchstoneError
 from butlercad.touchstone import touchstone_read
 
 DESIGN_ARGS = ["design", "--freq", "5.2GHz", "--er", "4.9", "--h", "1.6mm"]
@@ -359,6 +362,39 @@ class TestPatternCommand:
         assert "9Z" in capsys.readouterr().err
 
 
+_NUMBER = st.one_of(
+    st.builds(
+        "{}e{}".format,
+        st.integers(-9, 9),
+        st.sampled_from([4, 300, 305, 308]) | st.integers(-12, 12),
+    ),
+    st.sampled_from(["0", "1", "2.5", "1.7e308", "-1.7e308"]),
+)
+_JUNK = st.sampled_from(["zero", "x1", "--", "1e", "nan", "inf", "1e309", "#", "GHz", "0x10"])
+_OPTION = st.tuples(
+    st.sampled_from(["GHz", "Hz", "kHz", "MHz", ""]),
+    st.sampled_from(["DB", "RI", "MA", ""]),
+    st.sampled_from(["S", ""]),
+    st.sampled_from(["R 50", "R 75", ""]),
+    st.sampled_from(["", "", "Y", "THz", "R 0", "R"]),  # mostly no bad word
+).flatmap(st.permutations).map(lambda words: " ".join(["#", *filter(None, words)]))
+
+
+@st.composite
+def _touchstone_file(draw):
+    """(suffix, text): an option line, records of 1 + 2n^2 numbers, comments and junk."""
+    n = draw(st.sampled_from([1, 2]))
+    record = st.lists(_NUMBER, min_size=1 + 2 * n * n, max_size=1 + 2 * n * n).map(" ".join)
+    line = st.one_of(
+        record,
+        _OPTION,
+        st.lists(_NUMBER | _JUNK, max_size=6).map(" ".join),
+        st.text("ab !#1", max_size=6).map("! {}".format),
+    )
+    lines = [draw(_OPTION), draw(record)] + draw(st.lists(line, max_size=3))
+    return f".s{n}p", "\n".join(lines) + "\n"
+
+
 class TestTouchstoneConvert:
     def test_convert_round_trip(self, tmp_path, capsys):
         src = tmp_path / "in.s1p"
@@ -377,6 +413,44 @@ class TestTouchstoneConvert:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.count("\n") == 1
+
+    def test_overflowing_db_entry_names_its_line(self, tmp_path, capsys):
+        src = tmp_path / "in.s1p"
+        src.write_text("# GHz S DB R 50\n1 1e4 0\n")
+        rc = main(["touchstone", "convert", str(src), str(tmp_path / "out.s1p")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("butlercad: error: line 2: ") and err.count("\n") == 1, err
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        file=_touchstone_file(),
+        fmt=st.sampled_from(["RI", "MA", "DB"]),
+        unit=st.sampled_from(["Hz", "kHz", "MHz", "GHz"]),
+    )
+    def test_reader_fuzz_is_touchstone_error_or_one_line(self, file, fmt, unit):
+        suffix, text = file
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            src = Path(tmp) / f"in{suffix}"
+            src.write_text(text, encoding="ascii")
+            try:
+                frequencies, s, _ = touchstone_read(src)
+                assert np.isfinite(frequencies).all() and np.isfinite(s).all()
+            except TouchstoneError:
+                pass
+            dst = Path(tmp) / f"out{suffix}"
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["touchstone", "convert", str(src), str(dst),
+                           "--format", fmt, "--unit", unit])
+            if rc == 0:
+                touchstone_read(dst)  # what convert writes reads back
+        if rc == 0:
+            assert err.getvalue() == ""
+        else:
+            assert rc == 2
+            assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 class TestOutdirEnv:

@@ -22,7 +22,7 @@ def _random_sweep(n_ports, n_freqs):
     return 1e9 * np.arange(1, n_freqs + 1) + 0.5e9, s
 
 
-HYBRID = ideal_hybrid().at(5.2e9).entries[None]
+HYBRID = ideal_hybrid().at(5.2e9)[None]
 
 
 class TestWriting:
@@ -95,6 +95,11 @@ class TestWriting:
         with pytest.raises(TouchstoneError, match="non-finite"):
             touchstone_write([1e9, f], s, "RI", path, z_ref=z_ref)
         assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["MA", "DB"])
+    def test_magnitude_overflow_is_a_touchstone_error(self, fmt):
+        with pytest.raises(TouchstoneError, match=f"overflows in {fmt}"):
+            touchstone_write([1e9], np.full((1, 1, 1), 1.7e308 + 1.7e308j), fmt, io.StringIO())
 
     def test_deterministic_bytes(self):
         freqs, s = _random_sweep(3, 4)
@@ -183,6 +188,11 @@ class TestReading:
         with pytest.raises(TouchstoneParseError, match=f"line {bad_line}: non-finite"):
             touchstone_read(io.StringIO("# GHz S RI R 50\n" + body), n_ports=1)
 
+    def test_frequency_overflowing_once_scaled_names_its_line(self):
+        text = "# GHz S RI R 50\n1 0 0\n1e300 0 0\n"
+        with pytest.raises(TouchstoneParseError, match="line 3: frequency 1e[+]300 overflows"):
+            touchstone_read(io.StringIO(text), n_ports=1)
+
     @pytest.mark.parametrize("z", ["nan", "inf", "0", "-50"])
     def test_bad_reference_impedance_rejected_with_line_number(self, z):
         with pytest.raises(TouchstoneParseError, match="line 1: bad impedance"):
@@ -224,7 +234,7 @@ class TestRoundTrips:
 
         net = build_butler_4x4("ideal", 5.2e9)
         freqs = np.array([4.7e9, 5.2e9, 5.7e9])
-        s = np.array([interconnect(net, f).entries for f in freqs])
+        s = np.array([interconnect(net, f) for f in freqs])
         path = tmp_path / "butler.s8p"
         touchstone_write(freqs, s, "MA", path)
         assert np.max(np.abs(touchstone_read(path)[1] - s)) < 1e-9
