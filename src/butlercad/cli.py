@@ -12,6 +12,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -134,6 +135,7 @@ class _OneLineParser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache  # a parser keeps no state between parse_args calls
 def _build_parser() -> argparse.ArgumentParser:
     p = _OneLineParser(prog="butlercad", description=__doc__)
     p.add_argument("--version", action="version", version=f"butlercad {__version__}")

@@ -210,8 +210,8 @@ def branchline_dimensions(
 
 
 def _branchline_net(f0: float, substrate: Substrate, z_ref: float) -> Netlist:
+    junction = shunt_junction(3, z_ref)  # refuses a bad z_ref before the arms use it
     dims = branchline_dimensions(f0, substrate, z_ref)
-    junction = shunt_junction(3, z_ref)
     series = tline(dims.series_z0, dims.series_length, dims.series_eps_reff, z_ref)
     shunt = tline(dims.shunt_z0, dims.shunt_length, dims.shunt_eps_reff, z_ref)
     net = Netlist()

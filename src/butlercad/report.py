@@ -16,6 +16,7 @@ import numpy as np
 from . import antenna, butler, microstrip
 from .microstrip import MicrostripLineSpec, Substrate
 from .sparams import FIDELITY_IDEAL
+from .touchstone import polar
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,12 @@ def excitation_csv(
 ) -> None:
     """Write long-form coupling rows: port, frequency, output, mag dB, phase deg."""
     stream.write("input_port,frequency_hz,output_port,magnitude_db,phase_deg\n")
-    for port, freq, out, amp in table_rows:
-        mag_db = 20.0 * math.log10(max(abs(amp), 1e-300))
-        ph = math.degrees(np.angle(amp))
-        stream.write(f"{port},{freq:.9g},{out},{mag_db:.9g},{ph:.9g}\n")
+    amps = np.fromiter((row[3] for row in table_rows), complex, len(table_rows))
+    mag_db, phase = polar(amps, db=True)
+    stream.writelines(
+        f"{port},{freq:.9g},{out},{m:.9g},{ph:.9g}\n"
+        for (port, freq, out, _), m, ph in zip(table_rows, memoryview(mag_db), memoryview(phase))
+    )
 
 
 def beam_table_csv(beam_table: dict[str, tuple[float, float]], stream) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -40,8 +41,10 @@ class DeviceModel:
     def __post_init__(self):
         if self.n_ports < 1:
             raise ValueError("n_ports must be >= 1")
-        if not 0 < self.z_ref < math.inf:
-            raise ValueError(f"z_ref must be positive and finite, got {self.z_ref}")
+        z_ref = self.z_ref
+        # a bool is an int to Python, but True is no impedance
+        if isinstance(z_ref, bool) or not isinstance(z_ref, Real) or not 0 < z_ref < math.inf:
+            raise ValueError(f"z_ref must be a positive finite number, got {z_ref!r}")
 
     @property
     def z_ref(self) -> float:

@@ -1,7 +1,8 @@
 """Touchstone v1 reader and writer for N-port S-parameter sweeps.
 
-A sweep is a strictly ascending frequency vector in Hz, shape ``(F,)``, and
-a complex ``(F, n, n)`` stack of S-matrices referenced to one impedance.
+A sweep is a strictly ascending vector of positive frequencies in Hz,
+shape ``(F,)``, and a complex ``(F, n, n)`` stack of S-matrices referenced
+to one impedance.
 
 Layout rules implemented (version 1 of the format):
 
@@ -18,9 +19,24 @@ Layout rules implemented (version 1 of the format):
 
 Frequencies and the reference impedance are written with 9 significant
 digits and data fields with 12, so a write/read round trip stays below
-1e-9 per entry; neither side accepts non-finite numbers.  The comment header
-carries the tool name and a content hash, never a timestamp, keeping
-identical inputs byte-identical.
+1e-9 per entry; neither side accepts non-finite numbers or a frequency
+that is not positive.  The comment header carries the tool name and a
+content hash, never a timestamp, keeping identical inputs byte-identical.
+
+Both sides work on whole arrays.  The writer lays a sweep out as one
+``(F, 1 + 2 n**2)`` float array of records in file order and prints each with
+one ``%`` template; the reader gathers all numbers in one ``array('d')``.
+The bytes equal those of per-entry Python arithmetic because:
+
+* magnitudes are ``np.hypot``, which equals ``abs`` of a complex
+  (``np.abs`` differs in the last bit);
+* DB values use ``math.log10`` and ``10.0 ** x`` mapped over Python
+  floats (``np.log10`` and ``np.power`` round differently, and a numpy
+  power overflows to inf instead of raising ``OverflowError``);
+* ``np.degrees``, ``np.angle``, ``np.radians``, ``np.cos`` and ``np.sin``
+  equal their scalar counterparts;
+* an MA or DB entry decodes to ``(a*c - 0.0*s) + (a*s + 0.0*c)j``, the
+  parts CPython computes for ``a * complex(c, s)``, signed zeros included.
 """
 
 from __future__ import annotations
@@ -28,8 +44,11 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from array import array
+from contextlib import nullcontext
+from itertools import repeat
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -42,36 +61,19 @@ FORMATS = ("RI", "MA", "DB")
 _EXT_RE = re.compile(r"\.s(\d+)p$", re.IGNORECASE)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+def polar(z: np.ndarray, db: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude (linear, or dB floored at 1e-300) and phase in degrees of each entry.
 
-
-def _fmt_data(x: float) -> str:
-    # 9 digits are short of the 1e-9 round-trip budget for angles in
-    # degrees and for dB values, so data fields carry 12
-    return format(float(x), ".12g")
-
-
-def _pair(value: complex, fmt: str) -> tuple[float, float]:
-    if fmt == "RI":
-        return value.real, value.imag
-    mag = abs(value)
-    if mag == math.inf:  # finite parts whose magnitude is not a float
-        raise TouchstoneError(f"|{value}| overflows in {fmt} format")
-    ang = math.degrees(np.angle(value))
-    if fmt == "MA":
-        return mag, ang
-    return 20.0 * math.log10(max(mag, 1e-300)), ang  # DB
-
-
-def _unpair(a: float, b: float, fmt: str) -> complex:
-    if fmt == "RI":
-        return complex(a, b)
-    if fmt == "MA":
-        return a * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
-    return 10.0 ** (a / 20.0) * complex(
-        math.cos(math.radians(b)), math.sin(math.radians(b))
-    )
+    Bit-identical to ``abs(v)``, ``20 * math.log10(max(abs(v), 1e-300))`` and
+    ``math.degrees(np.angle(v))`` per entry; a magnitude too large for a
+    float is inf.
+    """
+    with np.errstate(over="ignore"):
+        mag = np.hypot(z.real, z.imag)
+    if db:
+        floored = np.maximum(mag, 1e-300).ravel()
+        mag = 20.0 * np.fromiter(map(math.log10, memoryview(floored)), float, floored.size)
+    return mag.reshape(z.shape), np.degrees(np.angle(z))
 
 
 def _entry_order(n: int) -> list[int]:
@@ -111,72 +113,74 @@ def touchstone_write(
         )
     if not frequencies.size:
         raise TouchstoneError("empty sweep")
-    if np.any(frequencies[1:] <= frequencies[:-1]):
-        raise TouchstoneError("frequencies must be strictly ascending")
+    if frequencies[0] <= 0 or np.any(frequencies[1:] <= frequencies[:-1]):
+        raise TouchstoneError("frequencies must be positive and strictly ascending")
     if not (0 < z_ref < math.inf and np.isfinite(frequencies).all() and np.isfinite(s).all()):
         raise TouchstoneError("non-finite frequency or entry, or z_ref not in (0, inf)")
 
     n_ports = s.shape[1]
-    scale = UNIT_SCALE[unit_key]
+    n_fields = 2 * n_ports * n_ports
+    entries = s.reshape(len(s), -1)[:, _entry_order(n_ports)]
+    if fmt == "RI":
+        first, second = entries.real, entries.imag
+    else:
+        first, second = polar(entries, db=fmt == "DB")
+        overflow = np.flatnonzero(np.isinf(first))
+        if overflow.size:  # finite parts whose magnitude is not a float
+            raise TouchstoneError(f"|{entries.flat[overflow[0]]}| overflows in {fmt} format")
+    records = np.empty((len(s), 1 + n_fields))
+    records[:, 0] = frequencies / UNIT_SCALE[unit_key]
+    records[:, 1::2] = first
+    records[:, 2::2] = second
+
+    # from three ports up each matrix row starts a line; 1- and 2-port data
+    # share one; four pairs at most per line.  9 digits are short of the 1e-9
+    # round-trip budget for angles in degrees and for dB values, so data
+    # fields carry 12
+    width = 2 * n_ports if n_ports > 2 else n_fields
+    matrix_row = "\n  ".join(" ".join(["%.12g"] * min(8, width - c)) for c in range(0, width, 8))
+    template = "%.9g " + "\n  ".join([matrix_row] * (n_fields // width)) + "\n"
     unit_names = {"HZ": "Hz", "KHZ": "kHz", "MHZ": "MHz", "GHZ": "GHz"}
-    lines = [
-        f"! butlercad {__version__} {n_ports}-port S-parameter export",
-        f"! content-hash {content_hash(frequencies, s)}",
-        f"# {unit_names[unit_key]} S {fmt} R {_fmt(z_ref)}",
-    ]
-    # from three ports up each matrix row starts a line; 1- and 2-port data share one
-    width = 2 * n_ports if n_ports > 2 else 2 * n_ports * n_ports
-    for f, entries in zip(frequencies, s.reshape(len(s), -1)[:, _entry_order(n_ports)]):
-        fields = [v for value in entries for v in _pair(value, fmt)]
-        head = _fmt(f / scale) + " "
-        for r in range(0, len(fields), width):
-            row = fields[r : r + width]
-            for c in range(0, width, 8):  # four pairs per line
-                lines.append(head + " ".join(_fmt_data(v) for v in row[c : c + 8]))
-                head = "  "
-    text = "\n".join(lines) + "\n"
-
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text, encoding="ascii")
+    header = (
+        f"! butlercad {__version__} {n_ports}-port S-parameter export\n"
+        f"! content-hash {content_hash(frequencies, s)}\n"
+        f"# {unit_names[unit_key]} S {fmt} R {format(float(z_ref), '.9g')}\n"
+    )
+    # every check is done: stream the records, one string at a time
+    with (
+        nullcontext(destination) if hasattr(destination, "write")
+        else open(destination, "w", encoding="ascii")
+    ) as out:
+        out.write(header)
+        out.writelines(template % tuple(row.tolist()) for row in records)
 
 
-def touchstone_read(
-    source: str | Path | TextIO, n_ports: int | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Parse a Touchstone v1 document into (frequencies in Hz, (F, n, n) stack, z_ref)."""
-    if hasattr(source, "read"):
-        text = source.read()
-        name = getattr(source, "name", "")
-    else:
-        path = Path(source)
-        text = path.read_text(encoding="ascii")
-        name = path.name
-    m = _EXT_RE.search(str(name))
-    inferred = int(m.group(1)) if m else None
-    if n_ports is not None and inferred is not None and n_ports != inferred:
-        raise TouchstoneParseError(
-            f"extension says {inferred} ports but caller says {n_ports}"
-        )
-    n = n_ports if n_ports is not None else inferred
-    if n is None:
-        raise TouchstoneParseError(
-            "port count unknown: need a .sNp file name or an explicit n_ports"
-        )
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line that is not blank once its comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("!", 1)[0].strip()
+        if line:
+            yield lineno, line
 
+
+def _locate(text: str, index: int) -> tuple[int, str]:
+    """Line number and text of the number at ``index`` among the data tokens."""
+    for lineno, line in _content_lines(text):
+        if not line.startswith("#"):
+            tokens = line.split()
+            if index < len(tokens):
+                return lineno, tokens[index]
+            index -= len(tokens)
+    raise IndexError(index)
+
+
+def _parse(text: str, values: array) -> tuple[float, str, float]:
+    """Append every number of ``text`` to ``values``; return (unit scale, format, z_ref)."""
     unit_scale = UNIT_SCALE["GHZ"]
     fmt = "MA"
     z_ref = 50.0
     seen_option = False
-    block = 1 + 2 * n * n
-    values: list[float] = []
-    record_lines: list[int] = []  # line number of each record's frequency token
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("#"):
             if seen_option:
                 raise TouchstoneParseError("second option line", lineno)
@@ -203,43 +207,104 @@ def touchstone_read(
                 elif word != "S":
                     raise TouchstoneParseError(f"bad option token {word!r}", lineno)
             continue
-        for tok in line.split():
-            try:
-                value = float(tok)
-            except ValueError:
-                raise TouchstoneParseError(f"non-numeric token {tok!r}", lineno) from None
-            if not math.isfinite(value):
-                raise TouchstoneParseError(f"non-finite value {tok!r}", lineno)
-            if len(values) % block == 0:
-                record_lines.append(lineno)
-            values.append(value)
+        tokens = line.split()
+        try:
+            values.extend(map(float, tokens))
+        except ValueError:
+            for tok in tokens:
+                try:
+                    float(tok)
+                except ValueError:
+                    raise TouchstoneParseError(f"non-numeric token {tok!r}", lineno) from None
+    return unit_scale, fmt, z_ref
 
-    if not values or len(values) % block != 0:
+
+def _check_finite(values: array, text: str) -> np.ndarray:
+    """``values`` as an array; a ``TouchstoneParseError`` at the first non-finite one."""
+    numbers = np.frombuffer(values, dtype=float)
+    non_finite = np.flatnonzero(~np.isfinite(numbers))
+    if non_finite.size:
+        lineno, tok = _locate(text, non_finite[0])
+        raise TouchstoneParseError(f"non-finite value {tok!r}", lineno)
+    return numbers
+
+
+def touchstone_read(
+    source: str | Path | TextIO, n_ports: int | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Parse a Touchstone v1 document into (frequencies in Hz, (F, n, n) stack, z_ref)."""
+    if hasattr(source, "read"):
+        text = source.read()
+        name = getattr(source, "name", "")
+    else:
+        path = Path(source)
+        text = path.read_text(encoding="ascii")
+        name = path.name
+    m = _EXT_RE.search(str(name))
+    inferred = int(m.group(1)) if m else None
+    if n_ports is not None and inferred is not None and n_ports != inferred:
         raise TouchstoneParseError(
-            f"token count {len(values)} is not a multiple of {block} "
-            f"expected for {n} ports"
+            f"extension says {inferred} ports but caller says {n_ports}"
+        )
+    n = n_ports if n_ports is not None else inferred
+    if n is None:
+        raise TouchstoneParseError(
+            "port count unknown: need a .sNp file name or an explicit n_ports"
         )
 
-    order = _entry_order(n)
-    frequencies = np.array([v * unit_scale for v in values[::block]])
-    s = np.empty((len(frequencies), n * n), dtype=complex)
-    for k, b in enumerate(range(0, len(values), block)):
-        if not math.isfinite(frequencies[k]):
-            raise TouchstoneParseError(
-                f"frequency {values[b]!r} overflows once scaled to Hz", record_lines[k]
-            )
-        if k and frequencies[k] <= frequencies[k - 1]:
-            raise TouchstoneParseError(
-                "frequency not ascending (arity mismatch?)", record_lines[k]
-            )
+    values = array("d")
+    try:
+        unit_scale, fmt, z_ref = _parse(text, values)
+    except TouchstoneParseError:
+        _check_finite(values, text)  # a non-finite number before the fault comes first
+        raise
+    numbers = _check_finite(values, text)
+    block = 1 + 2 * n * n
+    if not numbers.size or numbers.size % block != 0:
+        raise TouchstoneParseError(
+            f"token count {numbers.size} is not a multiple of {block} "
+            f"expected for {n} ports"
+        )
+    records = numbers.reshape(-1, block)
+
+    with np.errstate(over="ignore"):
+        frequencies = records[:, 0] * unit_scale
+    bad = ~np.isfinite(frequencies) | (frequencies <= 0)
+    bad[1:] |= frequencies[1:] <= frequencies[:-1]
+    # records before the first bad frequency decode first: an overflowing
+    # entry there is the earlier fault
+    stop = int(np.argmax(bad)) if bad.any() else len(records)
+    a, b = records[:stop, 1::2], records[:stop, 2::2]
+    if fmt == "DB":
+        exponents = (a / 20.0).ravel()
+        pending = iter(memoryview(exponents))
         try:
-            s[k, order] = [
-                _unpair(values[i], values[i + 1], fmt) for i in range(b + 1, b + block, 2)
-            ]
+            a = np.fromiter(map(pow, repeat(10.0), pending), float, b.size).reshape(b.shape)
         except OverflowError:  # a DB magnitude above about 6165 dB
+            entry = exponents.size - 1 - sum(1 for _ in pending)
             raise TouchstoneParseError(
-                "entry overflows in the record starting on this line", record_lines[k]
+                "entry overflows in the record starting on this line",
+                _locate(text, entry // (n * n) * block)[0],
             ) from None
+    if stop < len(records):
+        lineno = _locate(text, stop * block)[0]
+        f = float(records[stop, 0])
+        if not math.isfinite(frequencies[stop]):
+            raise TouchstoneParseError(f"frequency {f!r} overflows once scaled to Hz", lineno)
+        if f <= 0:
+            raise TouchstoneParseError(f"frequency {f!r} is not positive", lineno)
+        raise TouchstoneParseError("frequency not ascending (arity mismatch?)", lineno)
+
+    s = np.empty((len(records), n * n), dtype=complex)
+    order = _entry_order(n)
+    if fmt == "RI":
+        s.real[:, order], s.imag[:, order] = a, b
+    else:
+        radians = np.radians(b)
+        cos, sin = np.cos(radians), np.sin(radians)
+        # the parts of a * complex(cos, sin) as CPython multiplies them
+        s.real[:, order] = a * cos - 0.0 * sin
+        s.imag[:, order] = a * sin + 0.0 * cos
     return frequencies, s.reshape(-1, n, n), z_ref
 
 

@@ -1,11 +1,13 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing in here calls the library's interconnection engine; the point is
-to check that engine against straight-line matrix math.
+Nothing in here calls the library's interconnection engine or its
+serialization; the point is to check the engine against straight-line
+matrix math, and the array writers and readers against per-entry Python.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -222,3 +224,92 @@ def brute_force_peak(excitations, spacing_over_lambda: float, step_deg: float = 
     bd = 2.0 * math.pi * spacing_over_lambda
     field = np.abs(a @ np.exp(1j * np.outer(np.arange(len(a)), bd * np.sin(th))))
     return math.degrees(th[int(np.argmax(field))])
+
+
+# Touchstone v1 and the excitation CSV, one entry and one field at a time:
+# the serialization the library's array code must match byte for byte.
+TS_UNITS = {"HZ": ("Hz", 1.0), "KHZ": ("kHz", 1e3), "MHZ": ("MHz", 1e6), "GHZ": ("GHz", 1e9)}
+
+
+def _ts_order(n: int) -> list[int]:
+    return [0, 2, 1, 3] if n == 2 else list(range(n * n))
+
+
+def touchstone_pair(value: complex, fmt: str) -> tuple[float, float]:
+    """The two file fields of one entry."""
+    if fmt == "RI":
+        return value.real, value.imag
+    mag = abs(value)
+    ang = math.degrees(np.angle(value))
+    if fmt == "MA":
+        return mag, ang
+    return 20.0 * math.log10(max(mag, 1e-300)), ang
+
+
+def _ts_unpair(a: float, b: float, fmt: str) -> complex:
+    if fmt == "RI":
+        return complex(a, b)
+    turn = complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
+    return (a if fmt == "MA" else 10.0 ** (a / 20.0)) * turn
+
+
+def touchstone_text(frequencies, s, fmt: str, unit: str, z_ref: float, version: str) -> str:
+    """Touchstone v1 document of a valid sweep, written entry by entry."""
+    name, scale = TS_UNITS[unit.upper()]
+    n = s.shape[1]
+    digest = hashlib.sha256()
+    for f, m in zip(frequencies, s):
+        digest.update(format(f, ".17g").encode())
+        digest.update(np.ascontiguousarray(m).tobytes())
+    lines = [
+        f"! butlercad {version} {n}-port S-parameter export",
+        f"! content-hash {digest.hexdigest()[:12]}",
+        f"# {name} S {fmt} R {format(float(z_ref), '.9g')}",
+    ]
+    width = 2 * n if n > 2 else 2 * n * n
+    for f, entries in zip(frequencies, s.reshape(len(s), -1)[:, _ts_order(n)]):
+        fields = [v for value in entries for v in touchstone_pair(value, fmt)]
+        head = format(float(f / scale), ".9g") + " "
+        for r in range(0, len(fields), width):
+            row = fields[r : r + width]
+            for c in range(0, width, 8):
+                lines.append(head + " ".join(format(float(v), ".12g") for v in row[c : c + 8]))
+                head = "  "
+    return "\n".join(lines) + "\n"
+
+
+def touchstone_values(text: str, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(frequencies in Hz, (F, n, n) stack, z_ref) of a well-formed document."""
+    scale, fmt, z_ref = 1e9, "MA", 50.0
+    values: list[float] = []
+    for raw in text.splitlines():
+        line = raw.split("!", 1)[0].strip()
+        if line.startswith("#"):
+            words = line[1:].upper().split()
+            for k, word in enumerate(words):
+                if word in TS_UNITS:
+                    scale = TS_UNITS[word][1]
+                elif word in ("RI", "MA", "DB"):
+                    fmt = word
+                elif word == "R":
+                    z_ref = float(words[k + 1])
+        elif line:
+            values += [float(tok) for tok in line.split()]
+    block = 1 + 2 * n * n
+    frequencies = np.array([v * scale for v in values[::block]])
+    s = np.empty((len(frequencies), n * n), dtype=complex)
+    for k, b in enumerate(range(0, len(values), block)):
+        s[k, _ts_order(n)] = [
+            _ts_unpair(values[i], values[i + 1], fmt) for i in range(b + 1, b + block, 2)
+        ]
+    return frequencies, s.reshape(-1, n, n), z_ref
+
+
+def excitation_csv_text(rows) -> str:
+    """Long-form coupling CSV of (port, frequency, output, amplitude) rows."""
+    out = ["input_port,frequency_hz,output_port,magnitude_db,phase_deg\n"]
+    for port, freq, name, amp in rows:
+        mag_db = 20.0 * math.log10(max(abs(amp), 1e-300))
+        ph = math.degrees(np.angle(amp))
+        out.append(f"{port},{freq:.9g},{name},{mag_db:.9g},{ph:.9g}\n")
+    return "".join(out)

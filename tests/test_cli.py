@@ -422,6 +422,15 @@ class TestTouchstoneConvert:
         assert rc == 2
         assert err.startswith("butlercad: error: line 2: ") and err.count("\n") == 1, err
 
+    def test_non_positive_frequency_names_its_line(self, tmp_path, capsys):
+        src = tmp_path / "in.s1p"
+        src.write_text("# GHz S RI R 50\n-1 0.5 0\n0 0.5 0\n")
+        rc = main(["touchstone", "convert", str(src), str(tmp_path / "out.s1p")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("butlercad: error: line 2: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out.s1p").exists()
+
     @settings(max_examples=200, deadline=None, database=None)
     @given(
         file=_touchstone_file(),
@@ -451,6 +460,44 @@ class TestTouchstoneConvert:
         else:
             assert rc == 2
             assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+# design, a request argparse refuses, a sweep, and a pattern cut to stdout
+SESSION = [
+    DESIGN_ARGS + ["--json-out", "report.json"],
+    ["pattern", "--port", "1R", "--f0", "5.2GHz", "--stepp", "1"],
+    ["butler", "--fidelity", "ideal", "--f0", "5.2GHz", "--f-start", "5GHz",
+     "--f-stop", "5.4GHz", "--n-points", "5"],
+    ["pattern", "--port", "2L", "--f0", "5.2GHz", "--step", "0.5"],
+]
+
+
+def _run_in(outdir, argv):
+    """Return code, stdout, stderr and the files written, of one call of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv + ["--outdir", outdir])
+    written = sorted(Path(outdir).glob("*"))
+    return rc, out.getvalue(), err.getvalue(), {p.name: p.read_bytes() for p in written}
+
+
+def test_one_process_serves_a_session_like_separate_first_calls(tmp_path, monkeypatch):
+    from butlercad.cli import _build_parser
+
+    # each side runs in its own directory, so the paths printed read the same
+    (tmp_path / "first").mkdir()
+    (tmp_path / "session").mkdir()
+    monkeypatch.chdir(tmp_path / "first")
+    first = []
+    for k, argv in enumerate(SESSION):
+        _build_parser.cache_clear()
+        first.append(_run_in(f"call{k}", argv))
+    monkeypatch.chdir(tmp_path / "session")
+    _build_parser.cache_clear()
+    session = [_run_in(f"call{k}", argv) for k, argv in enumerate(SESSION)]
+    assert _build_parser() is _build_parser()
+    assert [(r[0], len(r[3])) for r in first] == [(0, 1), (2, 0), (0, 3), (0, 0)]
+    assert session == first
 
 
 class TestOutdirEnv:

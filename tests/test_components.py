@@ -199,24 +199,30 @@ class TestCrossoverCircuit:
         assert reciprocity_residual(s) <= 1e-9
 
 
+SPECS = [
+    ("ideal_hybrid", {}),
+    ("ideal_crossover", {}),
+    ("phase_shifter", {"phi0_rad": math.pi / 4, "f0_hz": F0}),
+    ("tline", {"z0_ohm": 50.0, "length_m": 7.5e-3, "eps_reff": 3.65}),
+    ("shunt_junction", {"n_ports": 3}),
+    ("matched_load", {}),
+    ("branchline_hybrid", {"f0_hz": F0, "epsilon_r": 4.9, "height_m": 1.6e-3}),
+    ("crossover_circuit", {"f0_hz": F0, "epsilon_r": 4.9, "height_m": 1.6e-3}),
+]
+
+
 class TestDeviceRegistry:
-    @pytest.mark.parametrize(
-        "kind,params",
-        [
-            ("ideal_hybrid", {}),
-            ("ideal_crossover", {}),
-            ("phase_shifter", {"phi0_rad": math.pi / 4, "f0_hz": F0}),
-            ("tline", {"z0_ohm": 50.0, "length_m": 7.5e-3, "eps_reff": 3.65}),
-            ("shunt_junction", {"n_ports": 3}),
-            ("matched_load", {}),
-            ("branchline_hybrid", {"f0_hz": F0, "epsilon_r": 4.9, "height_m": 1.6e-3}),
-            ("crossover_circuit", {"f0_hz": F0, "epsilon_r": 4.9, "height_m": 1.6e-3}),
-        ],
-    )
+    @pytest.mark.parametrize("kind,params", SPECS)
     def test_round_trip_through_spec(self, kind, params):
         dev = device_from_spec(kind, params)
         assert dev.kind == kind
         assert dev.at(F0).shape == (dev.n_ports, dev.n_ports)
+
+    @pytest.mark.parametrize("z_ref", ["abc", None, [50], True], ids=repr)
+    @pytest.mark.parametrize("kind,params", SPECS)
+    def test_record_with_non_numeric_reference_impedance(self, kind, params, z_ref):
+        with pytest.raises(ValueError, match="z_ref must be a positive finite number"):
+            device_from_spec(kind, {**params, "z_ref_ohm": z_ref})
 
     @pytest.mark.parametrize(
         "dev", [ideal_hybrid(), ideal_crossover(), shunt_junction(3), matched_load()]

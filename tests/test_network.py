@@ -319,7 +319,7 @@ def test_device_model_port_count_check():
         bad.at(F0)
 
 
-@pytest.mark.parametrize("z_ref", [math.nan, math.inf, 0.0, -50.0])
+@pytest.mark.parametrize("z_ref", [math.nan, math.inf, 0.0, -50.0, "abc", None, [50], True])
 def test_device_model_rejects_bad_reference_impedance(z_ref):
     with pytest.raises(ValueError, match="z_ref"):
         DeviceModel("load", 1, lambda f: np.zeros((1, 1)), params={"z_ref_ohm": z_ref})

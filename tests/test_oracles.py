@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
-ENGINE = {f"butlercad.{m}" for m in ("network", "components", "butler", "report", "cli")}
+ENGINE = {
+    f"butlercad.{m}"
+    for m in ("network", "components", "butler", "report", "cli", "touchstone")
+}
 
 
 def _imported_modules(tree: ast.AST):

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
+from butlercad import __version__
 from butlercad.components import ideal_hybrid
 from butlercad.errors import TouchstoneError, TouchstoneParseError
-from butlercad.touchstone import touchstone_convert, touchstone_read, touchstone_write
+from butlercad.report import excitation_csv
+from butlercad.touchstone import polar, touchstone_convert, touchstone_read, touchstone_write
 
 RNG = np.random.default_rng(99)
 
@@ -81,6 +84,13 @@ class TestWriting:
             touchstone_write([], np.zeros((0, 2, 2)), "RI", path)
         with pytest.raises(TouchstoneError, match=r"z_ref not in \(0, inf\)"):
             touchstone_write([1e9], np.zeros((1, 2, 2)), "RI", path, z_ref=0.0)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("freqs", [[0.0], [-0.0], [-1e9, 1e9], [-2e9, -1e9]])
+    def test_rejects_non_positive_frequencies_before_writing(self, tmp_path, freqs):
+        path = tmp_path / "bad.s1p"
+        with pytest.raises(TouchstoneError, match="positive"):
+            touchstone_write(freqs, np.full((len(freqs), 1, 1), 0.1), "RI", path)
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -209,6 +219,16 @@ class TestReading:
         with pytest.raises(TouchstoneParseError, match="line 3: frequency not ascending"):
             touchstone_read(io.StringIO(text), n_ports=1)
 
+    @pytest.mark.parametrize(
+        "body, line, token",
+        [("-1 0.5 0\n0 0.5 0\n", 2, "-1.0"), ("! note\n0 0 0\n", 3, "0.0"),
+         ("1 0 0\n-0.0 0 0\n", 3, "-0.0")],
+    )
+    def test_non_positive_frequency_names_the_line_of_its_record(self, body, line, token):
+        message = f"line {line}: frequency {token} is not positive"
+        with pytest.raises(TouchstoneParseError, match=message):
+            touchstone_read(io.StringIO("# GHz S RI R 50\n" + body), n_ports=1)
+
     def test_arity_mismatch_detected(self):
         # three tokens short of a 2-port record
         with pytest.raises(TouchstoneParseError, match="multiple"):
@@ -279,3 +299,79 @@ def test_write_read_round_trip_property(data, n, fmt, unit, f_first, n_freqs):
     # frequencies carry 9 significant digits
     assert np.all(np.abs(f_back - freqs) <= 5e-9 * freqs)
     assert np.max(np.abs(s_back - s)) <= 1e-9
+
+
+_MAGNITUDE = st.floats(1e-300, 1e3) | st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(1.0, 9.99), st.integers(-300, 2),
+)
+_PART = st.sampled_from([0.0, -0.0]) | st.builds(
+    lambda negative, mag: -mag if negative else mag, st.booleans(), _MAGNITUDE
+)
+_ENTRY = st.builds(complex, _PART, _PART)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    data=st.data(),
+    n=st.sampled_from([1, 2, 3, 4, 8]),
+    n_freqs=st.integers(1, 3),
+    f_first=st.floats(1e3, 1e11),
+    fmt=st.sampled_from(["RI", "MA", "DB"]),
+    unit=st.sampled_from(["Hz", "kHz", "MHz", "GHz"]),
+    z_ref=st.sampled_from([50.0, 75.0, 33.3]),
+)
+def test_array_code_matches_entry_by_entry_serialization(
+    data, n, n_freqs, f_first, fmt, unit, z_ref
+):
+    freqs = f_first * (1.0 + 0.01 * np.arange(n_freqs))
+    s = data.draw(arrays(complex, (n_freqs, n, n), elements=_ENTRY))
+    if fmt != "RI":  # full precision first: most last-bit slips vanish in 12 digits
+        fields = np.array([oracles.touchstone_pair(v, fmt) for v in s.ravel().tolist()])
+        mag, angle = polar(s, db=fmt == "DB")
+        assert mag.ravel().tobytes() == fields[:, 0].tobytes()
+        assert angle.ravel().tobytes() == fields[:, 1].tobytes()
+    buf = io.StringIO()
+    touchstone_write(freqs, s, fmt, buf, unit=unit, z_ref=z_ref)
+    text = buf.getvalue()
+    assert text == oracles.touchstone_text(freqs, s, fmt, unit, z_ref, __version__)
+
+    got = touchstone_read(io.StringIO(text), n_ports=n)
+    want = oracles.touchstone_values(text, n)
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+    assert got[1].shape == want[1].shape and got[2] == want[2]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    data=st.data(),
+    n=st.sampled_from([1, 2, 3]),
+    n_freqs=st.integers(1, 3),
+    fmt=st.sampled_from(["RI", "MA", "DB"]),
+    unit=st.sampled_from(["Hz", "kHz", "MHz", "GHz"]),
+)
+def test_reader_matches_entry_by_entry_reader_on_any_fields(data, n, n_freqs, fmt, unit):
+    # fields a writer would not produce: negative magnitudes, angles past a
+    # turn, signed zeros; dB values stay below the overflow at about 6165 dB
+    field = st.floats(-6000.0, 6000.0) | st.sampled_from([0.0, -0.0])
+    lines = [f"# {unit} S {fmt} R 50"]
+    for k in range(n_freqs):
+        fields = data.draw(st.lists(field, min_size=2 * n * n, max_size=2 * n * n))
+        lines.append(" ".join(map(repr, [1.0 + k, *fields])))
+    text = "\n".join(lines) + "\n"
+    got = touchstone_read(io.StringIO(text), n_ports=n)
+    want = oracles.touchstone_values(text, n)
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    amps=arrays(complex, st.integers(0, 40), elements=_ENTRY),
+    freq=st.floats(1e3, 1e11),
+)
+def test_excitation_csv_matches_entry_by_entry_rows(amps, freq):
+    names = ("A1", "A2", "A3", "A4")
+    rows = [("1R", np.float64(freq) * (1 + k), names[k % 4], a) for k, a in enumerate(amps)]
+    buf = io.StringIO()
+    excitation_csv(rows, buf)
+    assert buf.getvalue() == oracles.excitation_csv_text(rows)
