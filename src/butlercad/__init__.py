@@ -21,7 +21,7 @@ from .microstrip import (  # noqa: F401
     synthesize_width,
 )
 from .sparams import DeviceModel  # noqa: F401
-from .network import Netlist, interconnect, netlist_from_json, netlist_to_json  # noqa: F401
+from .network import Netlist, interconnect  # noqa: F401
 from .components import (  # noqa: F401
     branchline_hybrid_circuit,
     crossover_circuit,
@@ -29,6 +29,8 @@ from .components import (  # noqa: F401
     ideal_crossover,
     ideal_hybrid,
     matched_load,
+    netlist_from_json,
+    netlist_to_json,
     phase_shifter,
     shunt_junction,
     tline,

@@ -29,9 +29,9 @@ from .errors import ButlerCadError
 from .microstrip import Substrate
 from .network import Netlist, interconnect
 from .sparams import FIDELITY_CIRCUIT, FIDELITY_IDEAL
-from .touchstone import FORMATS, touchstone_convert, touchstone_write
+from .touchstone import FORMATS, UNITS, touchstone_convert, touchstone_write
 
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+_FREQ_UNITS = {name.lower(): scale for name, scale in UNITS.items()}
 _LEN_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "mil": 25.4e-6}
 _NUM_UNIT_RE = re.compile(r"^\s*([+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 
@@ -124,9 +124,7 @@ FIDELITY = Flag(
 ER = Flag("er", float, None, "substrate relative permittivity (design, circuit)")
 H = Flag("h", parse_length, None, "substrate height, e.g. 1.6mm (design, circuit)")
 FORMAT = Flag("format", _one_of(*FORMATS), "RI", "touchstone format RI|MA|DB")
-UNIT = Flag(
-    "unit", _one_of("Hz", "kHz", "MHz", "GHz"), "GHz", "touchstone frequency unit"
-)
+UNIT = Flag("unit", _one_of(*UNITS), "GHz", "touchstone frequency unit")
 
 
 class _OneLineParser(argparse.ArgumentParser):

@@ -3,26 +3,20 @@
 Two fidelities exist side by side: ``ideal`` devices are the frequency
 independent textbook matrices, ``circuit`` devices are quarter-wave
 transmission-line assemblies that reduce to the ideal behavior at the
-design frequency and roll off away from it.
-
-Port conventions (documented per device in its label):
-
-* quadrature hybrid, 4 ports: 1 input, 2 through, 3 coupled, 4 isolated;
-  drawn as a square with 1/4 on the left edge and 2/3 on the right.
-* crossover, 4 ports: 1/4 left, 2/3 right; transmission pairs (1,3) and
-  (4,2), i.e. the diagonals, adjacent ports isolated.
-* phase shifter and line, 2 ports: 1 in, 2 out.
+design frequency and roll off away from it.  Each constructor's docstring
+gives its device's port numbering.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import microstrip
-from .microstrip import Substrate
+from .errors import NetlistError
+from .microstrip import MicrostripLineSpec, Substrate
 from .network import Netlist, interconnect
 from .sparams import Z_REF_DEFAULT, DeviceModel, abcd_to_s
 
@@ -57,11 +51,12 @@ _CROSSOVER_S = _read_only(np.array(
 def ideal_hybrid(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     """Lossless 3 dB quadrature hybrid, equal split with 90 degree offset.
 
-    |S21| = |S31| = 1/sqrt(2), port 4 isolated, all ports matched; the
-    through arm leads the coupled arm by 90 degrees at every frequency.
+    Ports 1 input, 2 through, 3 coupled, 4 isolated, drawn as a square with
+    1/4 on the left edge and 2/3 on the right.  |S21| = |S31| = 1/sqrt(2),
+    all ports matched; the through arm leads the coupled arm by 90 degrees
+    at every frequency.
     """
     return DeviceModel(
-        label="ideal 90deg hybrid (1 in, 2 through, 3 coupled, 4 isolated)",
         n_ports=4,
         evaluate=lambda f: _HYBRID_S,
         kind="ideal_hybrid",
@@ -70,9 +65,9 @@ def ideal_hybrid(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
 
 
 def ideal_crossover(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
-    """Lossless line crossing: diagonal transmission j, adjacent ports isolated."""
+    """Lossless line crossing, ports 1/4 left and 2/3 right: the diagonals
+    (1, 3) and (4, 2) transmit with S = j, adjacent ports are isolated."""
     return DeviceModel(
-        label="ideal crossover (1/4 left, 2/3 right, pairs 1-3 and 4-2)",
         n_ports=4,
         evaluate=lambda f: _CROSSOVER_S,
         kind="ideal_crossover",
@@ -81,7 +76,7 @@ def ideal_crossover(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
 
 
 def phase_shifter(phi0: float, f0: float, z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
-    """Matched line delaying by ``phi0`` radians at ``f0``.
+    """Matched line, port 1 in and 2 out, delaying by ``phi0`` radians at ``f0``.
 
     A fixed physical length shifts phase in proportion to frequency, so
     S21 = exp(-j * phi0 * f / f0) with unit magnitude everywhere.
@@ -96,7 +91,6 @@ def phase_shifter(phi0: float, f0: float, z_ref: float = Z_REF_DEFAULT) -> Devic
         return np.array([[0, t], [t, 0]], dtype=complex)
 
     return DeviceModel(
-        label=f"phase shifter -{math.degrees(phi0):g} deg at f0 (1 in, 2 out)",
         n_ports=2,
         evaluate=evaluate,
         kind="phase_shifter",
@@ -107,7 +101,7 @@ def phase_shifter(phi0: float, f0: float, z_ref: float = Z_REF_DEFAULT) -> Devic
 def tline(
     z0: float, length: float, eps_reff: float, z_ref: float = Z_REF_DEFAULT
 ) -> DeviceModel:
-    """Lossless transmission line two-port referenced to ``z_ref``.
+    """Lossless transmission line, port 1 in and 2 out, referenced to ``z_ref``.
 
     Built from the chain representation of a line of electrical length
     theta = 2*pi*length/lambda(f):
@@ -132,7 +126,6 @@ def tline(
         return abcd_to_s(abcd, z_ref)
 
     return DeviceModel(
-        label=f"lossless line z0={z0:g} ohm, l={length * 1e3:.4g} mm (1 in, 2 out)",
         n_ports=2,
         evaluate=evaluate,
         kind="tline",
@@ -152,7 +145,6 @@ def shunt_junction(n_ports: int = 3, z_ref: float = Z_REF_DEFAULT) -> DeviceMode
         np.full((n_ports, n_ports), 2.0 / n_ports, dtype=complex) - np.eye(n_ports)
     )
     return DeviceModel(
-        label=f"ideal {n_ports}-way shunt junction",
         n_ports=n_ports,
         evaluate=lambda f: matrix,
         kind="shunt_junction",
@@ -166,7 +158,6 @@ _LOAD_S = _read_only(np.zeros((1, 1), dtype=complex))
 def matched_load(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     """Reflectionless 1-port termination (S = 0)."""
     return DeviceModel(
-        label="matched load",
         n_ports=1,
         evaluate=lambda f: _LOAD_S,
         kind="matched_load",
@@ -174,46 +165,26 @@ def matched_load(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     )
 
 
-@dataclass(frozen=True)
-class BranchlineDims:
-    """Synthesized arm geometry of one branch-line hybrid."""
-
-    series_z0: float
-    series_width: float
-    series_length: float
-    series_eps_reff: float
-    shunt_z0: float
-    shunt_width: float
-    shunt_length: float
-    shunt_eps_reff: float
-
-
 def branchline_dimensions(
     f0: float, substrate: Substrate, z_ref: float = Z_REF_DEFAULT
-) -> BranchlineDims:
-    """Quarter-wave arm dimensions: series arms at z_ref/sqrt(2), shunt at z_ref."""
-    series_z0 = z_ref / math.sqrt(2.0)
-    ws = microstrip.synthesize_width(series_z0, substrate)
-    wp = microstrip.synthesize_width(z_ref, substrate)
-    es = microstrip.effective_permittivity(ws, substrate)
-    ep = microstrip.effective_permittivity(wp, substrate)
-    return BranchlineDims(
-        series_z0=series_z0,
-        series_width=ws,
-        series_length=microstrip.quarter_wave_length(f0, es),
-        series_eps_reff=es,
-        shunt_z0=z_ref,
-        shunt_width=wp,
-        shunt_length=microstrip.quarter_wave_length(f0, ep),
-        shunt_eps_reff=ep,
-    )
+) -> tuple[MicrostripLineSpec, MicrostripLineSpec]:
+    """Quarter-wave (series, shunt) arms: series at z_ref/sqrt(2), shunt at z_ref."""
+
+    def arm(z0: float) -> MicrostripLineSpec:
+        width = microstrip.synthesize_width(z0, substrate)
+        ee = microstrip.effective_permittivity(width, substrate)
+        length = microstrip.quarter_wave_length(f0, ee)
+        return MicrostripLineSpec(substrate, z0, width, length, ee, math.pi / 2.0)
+
+    return arm(z_ref / math.sqrt(2.0)), arm(z_ref)
 
 
 def _branchline_net(f0: float, substrate: Substrate, z_ref: float) -> Netlist:
     junction = shunt_junction(3, z_ref)  # refuses a bad z_ref before the arms use it
-    dims = branchline_dimensions(f0, substrate, z_ref)
-    series = tline(dims.series_z0, dims.series_length, dims.series_eps_reff, z_ref)
-    shunt = tline(dims.shunt_z0, dims.shunt_length, dims.shunt_eps_reff, z_ref)
+    series, shunt = (
+        tline(arm.z0, arm.length_l, arm.eps_reff, z_ref)
+        for arm in branchline_dimensions(f0, substrate, z_ref)
+    )
     net = Netlist()
     for name in ("J1", "J2", "J3", "J4"):
         net.add(name, junction)
@@ -240,9 +211,9 @@ def branchline_hybrid_circuit(
 ) -> DeviceModel:
     """Branch-line hybrid as four quarter-wave arms joined in a ring.
 
-    The raw ring response at f0 is the negative of the ideal hybrid matrix
-    used by :func:`ideal_hybrid` (its through and coupled phases are -90 and
-    -180 degrees).  The returned model carries a fixed 180 degree reference
+    Ports as in :func:`ideal_hybrid`.  The raw ring response at f0 is the
+    negative of the ideal hybrid matrix (its through and coupled phases are
+    -90 and -180 degrees).  The returned model carries a fixed 180 degree reference
     rotation, equivalent to moving every port plane an eighth of a guided
     wavelength inward at f0, so the f0 response lines up entrywise with the
     ideal matrix.  Magnitudes, unitarity and reciprocity are unaffected.
@@ -251,7 +222,6 @@ def branchline_hybrid_circuit(
         raise ValueError(f"f0 must be > 0, got {f0}")
     net = _branchline_net(f0, substrate, z_ref)
     return DeviceModel(
-        label="branch-line hybrid circuit (1 in, 2 through, 3 coupled, 4 isolated)",
         n_ports=4,
         evaluate=lambda f: -interconnect(net, f),
         kind="branchline_hybrid",
@@ -283,16 +253,10 @@ def crossover_circuit(
     net.expose(("A", 1), ("B", 2), ("B", 3), ("A", 4))
 
     return DeviceModel(
-        label="crossover circuit, two cascaded branch-line hybrids (1/4 left, 2/3 right)",
         n_ports=4,
         evaluate=lambda f: interconnect(net, f),
         kind="crossover_circuit",
-        params={
-            "f0_hz": f0,
-            "epsilon_r": substrate.epsilon_r,
-            "height_m": substrate.height_h,
-            "z_ref_ohm": z_ref,
-        },
+        params=dict(half.params),  # the same design as each of its hybrids
     )
 
 
@@ -315,10 +279,56 @@ def device_from_spec(kind: str, params: dict) -> DeviceModel:
         return shunt_junction(params.get("n_ports", 3), z_ref)
     if kind == "matched_load":
         return matched_load(z_ref)
-    if kind == "branchline_hybrid":
+    if kind in ("branchline_hybrid", "crossover_circuit"):
         sub = Substrate(params["epsilon_r"], params["height_m"])
-        return branchline_hybrid_circuit(params["f0_hz"], sub, z_ref)
-    if kind == "crossover_circuit":
-        sub = Substrate(params["epsilon_r"], params["height_m"])
-        return crossover_circuit(params["f0_hz"], sub, z_ref)
+        circuit = branchline_hybrid_circuit if kind == "branchline_hybrid" else crossover_circuit
+        return circuit(params["f0_hz"], sub, z_ref)
     raise ValueError(f"unknown device kind {kind!r}")
+
+
+# --- JSON persistence -------------------------------------------------------
+#
+# Document layout (see schemas/netlist.schema.json):
+#   {"devices": [{"name": ..., "kind": ..., "params": {...}}, ...],
+#    "connections": [[["HA", 2], ["PSA", 1]], ...],
+#    "external_ports": [["HA", 1], ...]}
+
+def netlist_to_json(net: Netlist) -> str:
+    doc = {
+        "devices": [
+            {"name": name, "kind": dev.kind, "params": dev.params}
+            for name, dev in net.devices.items()
+        ],
+        "connections": [[list(a), list(b)] for a, b in net.connections],
+        "external_ports": [list(p) for p in net.external_ports],
+    }
+    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
+def netlist_from_json(text: str) -> Netlist:
+    """Rebuild a netlist written by :func:`netlist_to_json`.
+
+    A malformed document raises :class:`NetlistError` naming the top-level
+    key, the device record (index and name) or the connection at fault.
+    """
+    doc = json.loads(text)
+    for key in ("devices", "connections", "external_ports"):
+        if not (isinstance(doc, dict) and isinstance(doc.get(key), list)):
+            raise NetlistError(f"netlist document has no {key!r} list")
+    net = Netlist()
+    try:
+        for k, entry in enumerate(doc["devices"]):
+            name = entry.get("name") if isinstance(entry, dict) else None
+            where = f"device record {k} ({name!r})"
+            net.add(entry["name"], device_from_spec(entry["kind"], entry.get("params", {})))
+        for k, link in enumerate(doc["connections"]):
+            where = f"connection {k}"
+            net.connect(*[(name, int(port)) for name, port in link])
+        where = "external_ports"
+        net.expose(*[(name, int(port)) for name, port in doc["external_ports"]])
+    except KeyError as e:
+        raise NetlistError(f"{where} has no {e.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise NetlistError(f"{where}: {e}") from None
+    net.validate()
+    return net

@@ -24,9 +24,7 @@ shared impedance; the result does not depend on the elimination order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -91,21 +89,22 @@ class Netlist:
             raise NetlistError(f"dangling ports: {', '.join(dangling)}")
 
 
-def _eliminate_pair(s: np.ndarray, p: int, q: int, tag: str, frequency: float) -> None:
+def _eliminate_pair(s: np.ndarray, p: int, q: int, link: tuple, frequency: float) -> None:
     s_pq, s_qp, s_pp, s_qq = s[p, q], s[q, p], s[p, p], s[q, q]
     denom = (1.0 - s_pq) * (1.0 - s_qp) - s_pp * s_qq
     if abs(denom) < RESONANCE_TOL:
+        (a, i), (b, j) = link
         raise ResonantLoopError(
-            f"connection {tag} forms a resonant loop at {frequency / 1e9:.9g} GHz "
-            f"(|denominator| = {abs(denom):.3e})"
+            f"connection {a}.{i} <-> {b}.{j} forms a resonant loop at "
+            f"{frequency / 1e9:.9g} GHz (|denominator| = {abs(denom):.3e})"
         )
-    col_p, col_q = s[:, p].copy(), s[:, q].copy()
-    row_p, row_q = s[p].copy(), s[q].copy()
+    # views: the right-hand side is complete before += writes into s
+    col_p, col_q, row_p, row_q = s[:, p, None], s[:, q, None], s[p], s[q]
     s += (
-        np.outer(col_q, row_p) * (1.0 - s_qp)
-        + np.outer(col_p, row_q) * (1.0 - s_pq)
-        + np.outer(col_p, row_p) * s_qq
-        + np.outer(col_q, row_q) * s_pp
+        col_q * row_p * (1.0 - s_qp)
+        + col_p * row_q * (1.0 - s_pq)
+        + col_p * row_p * s_qq
+        + col_q * row_q * s_pp
     ) / denom
     s[[p, q]] = s[:, [p, q]] = 0.0
 
@@ -131,42 +130,7 @@ def interconnect(net: Netlist, frequency: float) -> np.ndarray:
     def gidx(ref: PortRef) -> int:
         return offset[ref[0]] + ref[1] - 1
 
-    for a, b in net.connections:
-        tag = f"{a[0]}.{a[1]} <-> {b[0]}.{b[1]}"
-        _eliminate_pair(s, gidx(a), gidx(b), tag, frequency)
+    for link in net.connections:
+        _eliminate_pair(s, gidx(link[0]), gidx(link[1]), link, frequency)
     order = [gidx(ref) for ref in net.external_ports]
-    return s[np.ix_(order, order)]
-
-
-# --- JSON persistence -------------------------------------------------------
-#
-# Document layout (see schemas/netlist.schema.json):
-#   {"devices": [{"name": ..., "kind": ..., "params": {...}}, ...],
-#    "connections": [[["HA", 2], ["PSA", 1]], ...],
-#    "external_ports": [["HA", 1], ...]}
-
-def netlist_to_json(net: Netlist) -> str:
-    doc = {
-        "devices": [
-            {"name": name, "kind": dev.kind, "params": dev.params}
-            for name, dev in net.devices.items()
-        ],
-        "connections": [[list(a), list(b)] for a, b in net.connections],
-        "external_ports": [list(p) for p in net.external_ports],
-    }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-
-
-def netlist_from_json(
-    text: str, device_factory: Callable[[str, dict], DeviceModel]
-) -> Netlist:
-    """Rebuild a netlist; ``device_factory`` maps (kind, params) to a model."""
-    doc = json.loads(text)
-    net = Netlist()
-    for entry in doc["devices"]:
-        net.add(entry["name"], device_factory(entry["kind"], entry.get("params", {})))
-    for a, b in doc["connections"]:
-        net.connect((a[0], int(a[1])), (b[0], int(b[1])))
-    net.expose(*[(p[0], int(p[1])) for p in doc["external_ports"]])
-    net.validate()
-    return net
+    return s[order][:, order]

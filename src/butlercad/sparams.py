@@ -29,10 +29,8 @@ class DeviceModel:
     ``evaluate`` returns the complex ``(n_ports, n_ports)`` S-matrix
     referenced to :attr:`z_ref`.  ``kind`` plus ``params`` fully reconstruct
     the device, which is what the netlist JSON round trip relies on.
-    ``label`` documents the port numbering convention in words.
     """
 
-    label: str
     n_ports: int
     evaluate: Callable[[float], np.ndarray]
     kind: str = ""
@@ -58,7 +56,7 @@ class DeviceModel:
         s = self.evaluate(frequency)
         if s.shape != (self.n_ports, self.n_ports):
             raise ValueError(
-                f"device {self.label!r} returned shape {s.shape}, declared {self.n_ports} ports"
+                f"device {self.kind!r} returned shape {s.shape}, declared {self.n_ports} ports"
             )
         return s
 

@@ -19,9 +19,10 @@ Layout rules implemented (version 1 of the format):
 
 Frequencies and the reference impedance are written with 9 significant
 digits and data fields with 12, so a write/read round trip stays below
-1e-9 per entry; neither side accepts non-finite numbers or a frequency
-that is not positive.  The comment header carries the tool name and a
-content hash, never a timestamp, keeping identical inputs byte-identical.
+1e-9 per entry; neither side accepts non-finite numbers, nor frequencies
+that are not positive and strictly ascending as printed.  The comment
+header carries the tool name and a content hash, never a timestamp,
+keeping identical inputs byte-identical.
 
 Both sides work on whole arrays.  The writer lays a sweep out as one
 ``(F, 1 + 2 n**2)`` float array of records in file order and prints each with
@@ -55,7 +56,8 @@ import numpy as np
 from . import __version__
 from .errors import TouchstoneError, TouchstoneParseError
 
-UNIT_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
+UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
+_UNIT_NAMES = {name.upper(): name for name in UNITS}  # option lines ignore case
 FORMATS = ("RI", "MA", "DB")
 
 _EXT_RE = re.compile(r"\.s(\d+)p$", re.IGNORECASE)
@@ -102,8 +104,8 @@ def touchstone_write(
     fmt = fmt.upper()
     if fmt not in FORMATS:
         raise TouchstoneError(f"format must be one of {FORMATS}, got {fmt!r}")
-    unit_key = unit.upper()
-    if unit_key not in UNIT_SCALE:
+    unit_name = _UNIT_NAMES.get(unit.upper())
+    if unit_name is None:
         raise TouchstoneError(f"unknown frequency unit {unit!r}")
     frequencies = np.asarray(frequencies, dtype=float)
     s = np.asarray(s, dtype=complex)
@@ -113,8 +115,12 @@ def touchstone_write(
         )
     if not frequencies.size:
         raise TouchstoneError("empty sweep")
-    if frequencies[0] <= 0 or np.any(frequencies[1:] <= frequencies[:-1]):
-        raise TouchstoneError("frequencies must be positive and strictly ascending")
+    scaled = frequencies / UNITS[unit_name]
+    printed = np.array([float("%.9g" % f) for f in scaled.tolist()])  # as the reader sees them
+    if printed[0] <= 0 or np.any(printed[1:] <= printed[:-1]):
+        raise TouchstoneError(
+            f"frequencies must be positive and strictly ascending at 9 digits in {unit_name}"
+        )
     if not (0 < z_ref < math.inf and np.isfinite(frequencies).all() and np.isfinite(s).all()):
         raise TouchstoneError("non-finite frequency or entry, or z_ref not in (0, inf)")
 
@@ -129,7 +135,7 @@ def touchstone_write(
         if overflow.size:  # finite parts whose magnitude is not a float
             raise TouchstoneError(f"|{entries.flat[overflow[0]]}| overflows in {fmt} format")
     records = np.empty((len(s), 1 + n_fields))
-    records[:, 0] = frequencies / UNIT_SCALE[unit_key]
+    records[:, 0] = scaled
     records[:, 1::2] = first
     records[:, 2::2] = second
 
@@ -140,11 +146,10 @@ def touchstone_write(
     width = 2 * n_ports if n_ports > 2 else n_fields
     matrix_row = "\n  ".join(" ".join(["%.12g"] * min(8, width - c)) for c in range(0, width, 8))
     template = "%.9g " + "\n  ".join([matrix_row] * (n_fields // width)) + "\n"
-    unit_names = {"HZ": "Hz", "KHZ": "kHz", "MHZ": "MHz", "GHZ": "GHz"}
     header = (
         f"! butlercad {__version__} {n_ports}-port S-parameter export\n"
         f"! content-hash {content_hash(frequencies, s)}\n"
-        f"# {unit_names[unit_key]} S {fmt} R {format(float(z_ref), '.9g')}\n"
+        f"# {unit_name} S {fmt} R {format(float(z_ref), '.9g')}\n"
     )
     # every check is done: stream the records, one string at a time
     with (
@@ -176,7 +181,7 @@ def _locate(text: str, index: int) -> tuple[int, str]:
 
 def _parse(text: str, values: array) -> tuple[float, str, float]:
     """Append every number of ``text`` to ``values``; return (unit scale, format, z_ref)."""
-    unit_scale = UNIT_SCALE["GHZ"]
+    unit_scale = UNITS["GHz"]
     fmt = "MA"
     z_ref = 50.0
     seen_option = False
@@ -188,8 +193,8 @@ def _parse(text: str, values: array) -> tuple[float, str, float]:
             fields = iter(line[1:].split())
             for field in fields:
                 word = field.upper()
-                if word in UNIT_SCALE:
-                    unit_scale = UNIT_SCALE[word]
+                if word in _UNIT_NAMES:
+                    unit_scale = UNITS[_UNIT_NAMES[word]]
                 elif word in FORMATS:
                     fmt = word
                 elif word in ("Y", "Z", "H", "G"):

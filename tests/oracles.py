@@ -106,6 +106,37 @@ def partition_reduce(s: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
     return see + sei @ perm @ solved
 
 
+def join_in_order(
+    s: np.ndarray, pairs: list[tuple[int, int]], external: list[int]
+) -> np.ndarray:
+    """Pairwise join of a stacked matrix, the bitwise reference of the engine's.
+
+    Joins each index pair (p, q) in list order with copied rows and columns
+    and four outer products,
+
+        S' = S + [ c_q r_p (1 - S_qp) + c_p r_q (1 - S_pq)
+                   + c_p r_p S_qq     + c_q r_q S_pp ] / D,
+
+    zeroes rows and columns p and q, and gathers ``external`` in order.
+    Without a resonance check: call it only where the engine did not raise.
+    """
+    s = np.array(s, dtype=complex)
+    for p, q in pairs:
+        s_pq, s_qp, s_pp, s_qq = s[p, q], s[q, p], s[p, p], s[q, q]
+        denom = (1.0 - s_pq) * (1.0 - s_qp) - s_pp * s_qq
+        col_p, col_q = s[:, p].copy(), s[:, q].copy()
+        row_p, row_q = s[p].copy(), s[q].copy()
+        s += (
+            np.outer(col_q, row_p) * (1.0 - s_qp)
+            + np.outer(col_p, row_q) * (1.0 - s_pq)
+            + np.outer(col_p, row_p) * s_qq
+            + np.outer(col_q, row_q) * s_pp
+        ) / denom
+        s[[p, q]] = 0.0
+        s[:, [p, q]] = 0.0
+    return s[np.ix_(external, external)]
+
+
 C0 = 299_792_458.0  # m/s, restated so the ring oracle needs no library import
 
 

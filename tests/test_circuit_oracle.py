@@ -22,9 +22,9 @@ SWEEP = np.linspace(1e9, 9.9e9, 90)
 
 
 def _ring(f, f0, substrate, z_ref=50.0):
-    d = branchline_dimensions(f0, substrate, z_ref)
+    series, shunt = branchline_dimensions(f0, substrate, z_ref)
     return branchline_ring(
-        f, d.series_length, d.series_eps_reff, d.shunt_length, d.shunt_eps_reff, z_ref
+        f, series.length_l, series.eps_reff, shunt.length_l, shunt.eps_reff, z_ref
     )
 
 

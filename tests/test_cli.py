@@ -260,6 +260,19 @@ class TestButlerCommand:
         assert err.startswith("butlercad: error: HA: ")
         assert "resonant loop at 10.4 GHz" in err
 
+    def test_sweep_finer_than_nine_digits_is_one_line(self, tmp_path, capsys):
+        # 5 Hz steps print as repeated 9-digit GHz frequencies
+        rc = main(
+            ["butler", "--fidelity", "ideal", "--f0", "5GHz", "--f-start", "5GHz",
+             "--f-stop", "5.0000001GHz", "--n-points", "21", "--outdir", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "strictly ascending at 9 digits in GHz" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_sweep_rejected(self, capsys):
         rc = main(
             ["butler", "--fidelity", "ideal", "--f0", "5.2GHz",

@@ -1,5 +1,6 @@
 """Interconnection engine: reductions, invariances, persistence, failures."""
 
+import json
 import math
 
 import numpy as np
@@ -7,23 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from butlercad.butler import build_butler_4x4
 from butlercad.components import (
+    _branchline_net,
     branchline_hybrid_circuit,
     crossover_circuit,
     device_from_spec,
     ideal_crossover,
     ideal_hybrid,
     matched_load,
+    netlist_from_json,
+    netlist_to_json,
     phase_shifter,
     shunt_junction,
     tline,
 )
 from butlercad.errors import NetlistError, ResonantLoopError
 from butlercad.microstrip import Substrate
-from butlercad.network import Netlist, interconnect, netlist_from_json, netlist_to_json
+from butlercad.network import Netlist, interconnect
 from butlercad.sparams import DeviceModel
 from oracles import (
     cascade_two_hybrids,
+    join_in_order,
     partition_reduce,
     reciprocity_residual,
     unitarity_residual,
@@ -153,7 +159,7 @@ def test_random_lossless_netlist_property(sizes, seed):
     stack = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
     for k, n in enumerate(sizes):
         m = _lossless_reciprocal(rng, n)
-        net.add(f"D{k}", DeviceModel(f"D{k}", n, lambda f, m=m: m))
+        net.add(f"D{k}", DeviceModel(n, lambda f, m=m: m))
         stack[len(refs) : len(refs) + n, len(refs) : len(refs) + n] = m
         refs += [(f"D{k}", p) for p in range(1, n + 1)]
     shuffled = rng.permutation(len(refs))
@@ -172,6 +178,7 @@ def test_random_lossless_netlist_property(sizes, seed):
     order = [sorted(external).index(k) for k in external]
     expected = partition_reduce(stack, pairs)[np.ix_(order, order)]
     assert np.max(np.abs(got - expected)) < 1e-9
+    assert np.array_equal(got, join_in_order(stack, pairs, external))
     reordered = Netlist(
         devices=net.devices,
         connections=[
@@ -181,6 +188,40 @@ def test_random_lossless_netlist_property(sizes, seed):
         external_ports=net.external_ports,
     )
     assert np.max(np.abs(interconnect(reordered, F0) - got)) < 1e-9
+
+
+def _stacked(net, f):
+    """The block-diagonal stack of every ``dev.at(f)``, with the joined and exposed indices."""
+    offset, blocks = {}, []
+    for name, dev in net.devices.items():
+        offset[name] = sum(len(b) for b in blocks)
+        blocks.append(dev.at(f))
+    stack = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex)
+    for name, b in zip(net.devices, blocks):
+        stack[offset[name] : offset[name] + len(b), offset[name] : offset[name] + len(b)] = b
+
+    def index(ref):
+        return offset[ref[0]] + ref[1] - 1
+
+    pairs = [(index(a), index(b)) for a, b in net.connections]
+    return stack, pairs, [index(ref) for ref in net.external_ports]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_butler_4x4("ideal", F0),
+    lambda: build_butler_4x4("circuit", F0, Substrate(4.9, 1.6e-3)),
+    lambda: _branchline_net(F0, Substrate(4.9, 1.6e-3), 50.0),
+], ids=["ideal_butler", "circuit_butler", "branchline_ring"])
+def test_join_is_bitwise_the_reference_join(make):
+    net, checked = make(), 0
+    for f in np.linspace(1e9, 10e9, 41):
+        try:
+            got = interconnect(net, f)
+        except ResonantLoopError:
+            continue
+        assert np.array_equal(got, join_in_order(*_stacked(net, f))), f
+        checked += 1
+    assert checked >= 40
 
 
 class TestFailureModes:
@@ -199,8 +240,6 @@ class TestFailureModes:
     )
     def test_near_resonant_circuit_butler_raises_or_stays_unitary(self, delta):
         # the branch-line rings resonate at twice the design frequency
-        from butlercad.butler import build_butler_4x4
-
         net = build_butler_4x4("circuit", F0, Substrate(4.9, 1.6e-3))
         try:
             s = interconnect(net, 2.0 * F0 * (1.0 + delta))
@@ -237,7 +276,7 @@ class TestFailureModes:
         net = Netlist()
         net.add("A", tline(50.0, 0.001, 1.0, z_ref=50.0))
         net.add("B", tline(50.0, 0.001, 1.0, z_ref=75.0))
-        net.add("P", DeviceModel("probe", 1, lambda f: calls.append(f) or np.zeros((1, 1))))
+        net.add("P", DeviceModel(1, lambda f: calls.append(f) or np.zeros((1, 1))))
         net.connect(("A", 2), ("B", 1))
         net.expose(("A", 1), ("B", 2), ("P", 1))
         with pytest.raises(NetlistError, match=r"mixed reference impedances \[50.0, 75.0\]"):
@@ -255,11 +294,9 @@ class TestFailureModes:
 
 class TestPersistence:
     def test_json_round_trip_preserves_response(self):
-        from butlercad.butler import build_butler_4x4
-
         net = build_butler_4x4("ideal", F0)
         doc = netlist_to_json(net)
-        back = netlist_from_json(doc, device_from_spec)
+        back = netlist_from_json(doc)
         for f in (0.9 * F0, F0):
             np.testing.assert_allclose(
                 interconnect(back, f),
@@ -288,7 +325,7 @@ class TestPersistence:
         net = Netlist()
         net.add("D", dev)
         net.expose(*[("D", p) for p in range(1, dev.n_ports + 1)])
-        back = netlist_from_json(netlist_to_json(net), device_from_spec)
+        back = netlist_from_json(netlist_to_json(net))
         assert back.devices["D"].z_ref == dev.z_ref == 75.0
         np.testing.assert_allclose(interconnect(back, 3e9), interconnect(net, 3e9), atol=1e-12)
 
@@ -297,10 +334,6 @@ class TestPersistence:
         assert device_from_spec("tline", params).z_ref == 50.0
 
     def test_json_document_shape(self):
-        import json
-
-        from butlercad.butler import build_butler_4x4
-
         doc = json.loads(netlist_to_json(build_butler_4x4("ideal", F0)))
         assert {d["name"] for d in doc["devices"]} == {
             "HA", "HB", "HC", "HD", "X1", "X2", "PSA", "PSB",
@@ -309,9 +342,41 @@ class TestPersistence:
         assert len(doc["external_ports"]) == 8
 
 
+_LOAD = {"name": "L", "kind": "matched_load"}
+_LINE = {"name": "T", "kind": "tline",
+         "params": {"z0_ohm": 50.0, "length_m": 0.01, "eps_reff": 2.0}}
+_JUNCTION = {"name": "J", "kind": "shunt_junction", "params": {"n_ports": "3"}}
+
+
+def _doc(devices=(_LOAD, _LINE), connections=(), external_ports=(["L", 1], ["T", 1], ["T", 2])):
+    return {"devices": list(devices), "connections": list(connections),
+            "external_ports": list(external_ports)}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_doc(devices=[_LOAD, {**_LINE, "params": {"length_m": 0.01, "eps_reff": 2.0}}]),
+         r"^device record 1 \('T'\) has no 'z0_ohm'$"),
+        ({"connections": [], "external_ports": []}, r"^netlist document has no 'devices' list$"),
+        (_doc(devices=[_LOAD, _JUNCTION]),
+         r"^device record 1 \('J'\): "),
+        ([_doc()], r"^netlist document has no 'devices' list$"),
+        (_doc(connections=[[["L", 1], ["T", "x"]]], external_ports=[["T", 1]]),
+         r"^connection 0: invalid literal for int\(\) with base 10: 'x'$"),
+        (_doc(external_ports=[["L", 1], ["T", 1], ["T", "x"]]),
+         r"^external_ports: invalid literal for int\(\) with base 10: 'x'$"),
+    ],
+    ids=["missing-param", "missing-devices", "n_ports-string", "top-level-list",
+         "connection-port-x", "external-port-x"],
+)
+def test_malformed_netlist_document_raises_netlist_error(doc, message):
+    with pytest.raises(NetlistError, match=message):
+        netlist_from_json(json.dumps(doc))
+
+
 def test_device_model_port_count_check():
     bad = DeviceModel(
-        label="liar",
         n_ports=3,
         evaluate=lambda f: np.zeros((2, 2)),
     )
@@ -322,4 +387,4 @@ def test_device_model_port_count_check():
 @pytest.mark.parametrize("z_ref", [math.nan, math.inf, 0.0, -50.0, "abc", None, [50], True])
 def test_device_model_rejects_bad_reference_impedance(z_ref):
     with pytest.raises(ValueError, match="z_ref"):
-        DeviceModel("load", 1, lambda f: np.zeros((1, 1)), params={"z_ref_ohm": z_ref})
+        DeviceModel(1, lambda f: np.zeros((1, 1)), params={"z_ref_ohm": z_ref})

@@ -7,8 +7,8 @@ import jsonschema
 import pytest
 
 from butlercad.butler import build_butler_4x4
+from butlercad.components import netlist_to_json
 from butlercad.microstrip import Substrate
-from butlercad.network import netlist_to_json
 from butlercad.report import build_design_report
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "butlercad" / "schemas"

@@ -93,6 +93,21 @@ class TestWriting:
             touchstone_write(freqs, np.full((len(freqs), 1, 1), 0.1), "RI", path)
         assert not path.exists()
 
+    def test_rejects_frequencies_that_collide_at_nine_digits(self, tmp_path):
+        path = tmp_path / "bad.s1p"
+        freqs = np.linspace(5e9, 5.0000001e9, 21)  # 5 Hz steps: the 10th digit
+        with pytest.raises(TouchstoneError, match="ascending at 9 digits in GHz"):
+            touchstone_write(freqs, np.full((21, 1, 1), 0.1), "RI", path)
+        assert not path.exists()
+
+    def test_rejects_a_frequency_that_prints_as_zero(self, tmp_path):
+        path = tmp_path / "bad.s1p"
+        with pytest.raises(TouchstoneError, match="positive .* in GHz"):
+            touchstone_write([1e-320, 1.0], np.full((2, 1, 1), 0.1), "RI", path)
+        assert not path.exists()
+        touchstone_write([1e-320, 1.0], np.full((2, 1, 1), 0.1), "RI", path, unit="Hz")
+        assert touchstone_read(path)[0][0] > 0  # printed as 9.99988671e-321 Hz
+
     @pytest.mark.parametrize(
         "f, entry, z_ref",
         [(math.nan, 0.1, 50.0), (math.inf, 0.1, 50.0), (2e9, complex(math.nan, 0), 50.0),
