@@ -5,6 +5,21 @@ independent textbook matrices, ``circuit`` devices are quarter-wave
 transmission-line assemblies that reduce to the ideal behavior at the
 design frequency and roll off away from it.  Each constructor's docstring
 gives its device's port numbering.
+
+Every ``evaluate`` takes an ``(F,)`` frequency array and returns the
+``(F, n, n)`` stack (see :class:`butlercad.sparams.DeviceModel`); a
+constant device returns ``np.broadcast_to`` of its read-only matrix.  A
+stack is bit for bit the matrices of its frequencies one at a time, each
+as the scalar formula in the device's docstring gives it, because every
+entry goes through the same IEEE operations:
+
+- the shifter's transmission is ``np.exp(1j * (-phi0 * f / f0))``;
+- the line's chain entries are ``B = 1j * (z0 * sin)`` and
+  ``C = 1j * (sin / z0)``;
+- every complex product a device forms has at most one nonzero real
+  product per part, so numpy's SIMD and scalar complex multiplies agree;
+- ``np.cos`` and ``np.sin`` on float64 arrays agree with ``math.cos`` and
+  ``math.sin``, which ``tests/test_components.py`` pins.
 """
 
 from __future__ import annotations
@@ -25,6 +40,11 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     """Freeze ``m``: a constant device hands this one array to every caller."""
     m.setflags(write=False)
     return m
+
+
+def _constant(m: np.ndarray):
+    """``evaluate`` of a frequency-independent device: ``m`` at every frequency."""
+    return lambda f: np.broadcast_to(m, (len(f),) + m.shape)
 
 
 _HYBRID_S = _read_only(np.array(
@@ -58,7 +78,7 @@ def ideal_hybrid(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     """
     return DeviceModel(
         n_ports=4,
-        evaluate=lambda f: _HYBRID_S,
+        evaluate=_constant(_HYBRID_S),
         kind="ideal_hybrid",
         params={"z_ref_ohm": z_ref},
     )
@@ -69,7 +89,7 @@ def ideal_crossover(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     (1, 3) and (4, 2) transmit with S = j, adjacent ports are isolated."""
     return DeviceModel(
         n_ports=4,
-        evaluate=lambda f: _CROSSOVER_S,
+        evaluate=_constant(_CROSSOVER_S),
         kind="ideal_crossover",
         params={"z_ref_ohm": z_ref},
     )
@@ -84,11 +104,13 @@ def phase_shifter(phi0: float, f0: float, z_ref: float = Z_REF_DEFAULT) -> Devic
     if f0 <= 0:
         raise ValueError(f"f0 must be > 0, got {f0}")
 
-    def evaluate(f: float) -> np.ndarray:
-        if not math.isfinite(float(f) / f0):  # float: no numpy overflow warning
+    def evaluate(f: np.ndarray) -> np.ndarray:
+        # f.max() / f0 is the largest ratio; a float division overflows without a warning
+        if not math.isfinite(float(f.max()) / f0):
             raise ValueError(f"phase shifter: f/f0 overflows for f0 = {float(f0)!r} Hz")
-        t = np.exp(-1j * phi0 * f / f0)
-        return np.array([[0, t], [t, 0]], dtype=complex)
+        s = np.zeros((len(f), 2, 2), dtype=complex)
+        s[:, 0, 1] = s[:, 1, 0] = np.exp(1j * (-phi0 * f / f0))
+        return s
 
     return DeviceModel(
         n_ports=2,
@@ -109,21 +131,21 @@ def tline(
         [A B; C D] = [cos(theta), j*z0*sin(theta); j*sin(theta)/z0, cos(theta)]
 
     then converted to S-parameters (see :func:`butlercad.sparams.abcd_to_s`).
+    A frequency whose wavelength or theta overflows is refused, naming it.
     """
-    if not (z0 > 0 and 0 < length < math.inf and eps_reff >= 1.0):
-        raise ValueError("tline needs z0 > 0, a finite length > 0, eps_reff >= 1")
+    if not (0 < z0 < math.inf and 0 < length < math.inf and 1.0 <= eps_reff < math.inf):
+        raise ValueError("tline needs finite values: z0 > 0, length > 0 and eps_reff >= 1")
 
-    def evaluate(f: float) -> np.ndarray:
-        lam = microstrip.guided_wavelength(f, eps_reff)
-        theta = 2.0 * math.pi * length / lam
-        abcd = np.array(
-            [
-                [math.cos(theta), 1j * z0 * math.sin(theta)],
-                [1j * math.sin(theta) / z0, math.cos(theta)],
-            ],
-            dtype=complex,
-        )
-        return abcd_to_s(abcd, z_ref)
+    def evaluate(f: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an overflow is refused below, naming f
+            lam = microstrip.C0 / f / math.sqrt(eps_reff)
+            theta = 2.0 * math.pi * length / lam
+        for what, x in (("wavelength", lam), ("electrical length", theta)):
+            if x.max() == math.inf:
+                bad = float(f[x == math.inf][0])
+                raise ValueError(f"frequency {bad!r} Hz gives an infinite {what}")
+        cos, sin = np.cos(theta).astype(complex), np.sin(theta)
+        return abcd_to_s(cos, 1j * (z0 * sin), 1j * (sin / z0), cos, z_ref)
 
     return DeviceModel(
         n_ports=2,
@@ -146,7 +168,7 @@ def shunt_junction(n_ports: int = 3, z_ref: float = Z_REF_DEFAULT) -> DeviceMode
     )
     return DeviceModel(
         n_ports=n_ports,
-        evaluate=lambda f: matrix,
+        evaluate=_constant(matrix),
         kind="shunt_junction",
         params={"n_ports": n_ports, "z_ref_ohm": z_ref},
     )
@@ -159,7 +181,7 @@ def matched_load(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     """Reflectionless 1-port termination (S = 0)."""
     return DeviceModel(
         n_ports=1,
-        evaluate=lambda f: _LOAD_S,
+        evaluate=_constant(_LOAD_S),
         kind="matched_load",
         params={"z_ref_ohm": z_ref},
     )
@@ -305,6 +327,14 @@ def netlist_to_json(net: Netlist) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
+def _port_ref(ref) -> tuple[str, int]:
+    name, port = ref
+    # a JSON integer only: int() would take 1.9 as 1, and True is an int to Python
+    if isinstance(port, bool) or not isinstance(port, int):
+        raise ValueError(f"port {port!r} is not an integer")
+    return name, port
+
+
 def netlist_from_json(text: str) -> Netlist:
     """Rebuild a netlist written by :func:`netlist_to_json`.
 
@@ -323,9 +353,9 @@ def netlist_from_json(text: str) -> Netlist:
             net.add(entry["name"], device_from_spec(entry["kind"], entry.get("params", {})))
         for k, link in enumerate(doc["connections"]):
             where = f"connection {k}"
-            net.connect(*[(name, int(port)) for name, port in link])
+            net.connect(*[_port_ref(ref) for ref in link])
         where = "external_ports"
-        net.expose(*[(name, int(port)) for name, port in doc["external_ports"]])
+        net.expose(*[_port_ref(ref) for ref in doc["external_ports"]])
     except KeyError as e:
         raise NetlistError(f"{where} has no {e.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as e:

@@ -1,10 +1,11 @@
 """The device model shared by every network, and the chain-to-S conversion.
 
 An S-matrix is a plain complex ``(n, n)`` ndarray; the reference impedance
-it is taken at belongs to the device that produced it.  Ports are numbered
-from 1 in every public interface, matching RF usage (S21 is the
-transmission from port 1 into port 2); array indices start at 0, so S21 is
-``s[1, 0]``.
+it is taken at belongs to the device that produced it.  A sweep is an
+``(F,)`` frequency vector and the ``(F, n, n)`` stack of its matrices.
+Ports are numbered from 1 in every public interface, matching RF usage
+(S21 is the transmission from port 1 into port 2); array indices start at
+0, so S21 is ``s[1, 0]``.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ FIDELITY_CIRCUIT = "circuit"
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """A multiport evaluable at any positive frequency.
+    """A multiport evaluable at any positive, finite frequency.
 
-    ``evaluate`` returns the complex ``(n_ports, n_ports)`` S-matrix
-    referenced to :attr:`z_ref`.  ``kind`` plus ``params`` fully reconstruct
-    the device, which is what the netlist JSON round trip relies on.
+    ``evaluate`` takes an ``(F,)`` float array of frequencies and returns
+    the complex ``(F, n_ports, n_ports)`` stack of S-matrices referenced to
+    :attr:`z_ref`; a constant device returns ``np.broadcast_to`` of its one
+    read-only matrix.  ``kind`` plus ``params`` fully reconstruct the
+    device, which is what the netlist JSON round trip relies on.
     """
 
     n_ports: int
-    evaluate: Callable[[float], np.ndarray]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     kind: str = ""
     params: dict = field(default_factory=dict)
 
@@ -49,20 +52,27 @@ class DeviceModel:
         """Reference impedance of every port, ohm (``params["z_ref_ohm"]``, else 50)."""
         return self.params.get("z_ref_ohm", Z_REF_DEFAULT)
 
-    def at(self, frequency: float) -> np.ndarray:
-        """Evaluate and sanity-check the shape against the declared port count."""
-        if frequency <= 0:
-            raise ValueError(f"frequency must be > 0, got {frequency}")
-        s = self.evaluate(frequency)
-        if s.shape != (self.n_ports, self.n_ports):
+    def at(self, frequency) -> np.ndarray:
+        """S at a scalar frequency, ``(n, n)``, or at an ``(F,)`` vector, ``(F, n, n)``.
+
+        Both go through ``evaluate`` with an ``(F,)`` array; the stack's
+        shape is checked against the declared port count.
+        """
+        fs = np.atleast_1d(np.asarray(frequency, dtype=float))
+        if not (fs.min() > 0 and fs.max() < math.inf):  # NaN fails both
+            bad = fs[~((fs > 0) & (fs < math.inf))][0]
+            raise ValueError(f"frequency must be > 0 and finite, got {bad}")
+        s = self.evaluate(fs)
+        if s.shape != (len(fs), self.n_ports, self.n_ports):
             raise ValueError(
-                f"device {self.kind!r} returned shape {s.shape}, declared {self.n_ports} ports"
+                f"device {self.kind!r} returned shape {s.shape} for {len(fs)} frequencies, "
+                f"declared {self.n_ports} ports"
             )
-        return s
+        return s if np.ndim(frequency) else s[0]
 
 
-def abcd_to_s(abcd: np.ndarray, z_ref: float = Z_REF_DEFAULT) -> np.ndarray:
-    """Convert a 2x2 chain (ABCD) matrix to S-parameters.
+def abcd_to_s(a, b, c, d, z_ref: float = Z_REF_DEFAULT) -> np.ndarray:
+    """Convert ``(F,)`` chain (ABCD) entries to the ``(F, 2, 2)`` S stack.
 
     With equal real reference impedance Z at both ports:
 
@@ -70,13 +80,11 @@ def abcd_to_s(abcd: np.ndarray, z_ref: float = Z_REF_DEFAULT) -> np.ndarray:
         S11 = (A + B/Z - C*Z - D) / den      S12 = 2*(A*D - B*C) / den
         S21 = 2 / den                         S22 = (-A + B/Z - C*Z + D) / den
     """
-    a, b = abcd[0, 0], abcd[0, 1]
-    c, d = abcd[1, 0], abcd[1, 1]
-    den = a + b / z_ref + c * z_ref + d
-    return np.array(
-        [
-            [(a + b / z_ref - c * z_ref - d) / den, 2.0 * (a * d - b * c) / den],
-            [2.0 / den, (-a + b / z_ref - c * z_ref + d) / den],
-        ],
-        dtype=complex,
-    )
+    bz, cz = b / z_ref, c * z_ref
+    den = a + bz + cz + d
+    s = np.empty((len(den), 2, 2), dtype=complex)
+    s[:, 0, 0] = (a + bz - cz - d) / den
+    s[:, 0, 1] = 2.0 * (a * d - b * c) / den
+    s[:, 1, 0] = 2.0 / den
+    s[:, 1, 1] = (-a + bz - cz + d) / den
+    return s

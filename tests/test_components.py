@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butlercad.components import (
     branchline_hybrid_circuit,
@@ -124,6 +126,22 @@ class TestTline:
         with pytest.raises(ValueError, match="length"):
             tline(50.0, length, 1.0)
 
+    @pytest.mark.parametrize("z0, eps_reff", [
+        (math.inf, 2.0), (math.nan, 2.0), (0.0, 2.0), (-50.0, 2.0),
+        (50.0, math.inf), (50.0, math.nan), (50.0, 0.5),
+    ])
+    def test_rejects_non_finite_or_unphysical_z0_and_eps_reff(self, z0, eps_reff):
+        with pytest.raises(ValueError, match="tline needs finite values"):
+            tline(z0, 0.01, eps_reff)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f, what", [(1e-320, "wavelength"), (1e300, "electrical length")])
+    def test_overflowing_frequency_is_named(self, f, what):
+        dev = tline(50.0, 1e300, 1.0)
+        with pytest.raises(ValueError) as e:
+            dev.at(np.array([F0, f]))
+        assert str(e.value) == f"frequency {f!r} Hz gives an infinite {what}"
+
     @pytest.mark.parametrize("f", ALL_FREQS)
     def test_lossless_and_reciprocal(self, f):
         dev = tline(72.0, 4.1e-3, 3.3)
@@ -233,6 +251,29 @@ class TestDeviceRegistry:
             s[0, 0] = 1.0
         assert dev.at(2 * F0)[0, 0] == s[0, 0]
 
+    @pytest.mark.parametrize("kind,params", SPECS)
+    def test_a_frequency_vector_gives_a_stack(self, kind, params):
+        dev = device_from_spec(kind, params)
+        fs = np.array([0.9 * F0, F0, 1.1 * F0])
+        stack = dev.at(fs)
+        assert stack.shape == (3, dev.n_ports, dev.n_ports)
+        assert np.array_equal(stack, [dev.at(f) for f in fs])
+
+    @pytest.mark.parametrize("f", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_a_frequency_that_is_not_positive_and_finite(self, f):
+        with pytest.raises(ValueError, match="frequency must be"):
+            ideal_hybrid().at(np.array([F0, f]))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="warp_drive"):
             device_from_spec("warp_drive", {})
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=64))
+def test_numpy_cos_and_sin_are_the_math_module_functions(thetas):
+    # a line's stack is bitwise its matrices one at a time, and the same as
+    # math.cos/math.sin gave before lines were evaluated as arrays
+    a = np.array(thetas)
+    assert np.array_equal(np.cos(a), [math.cos(x) for x in thetas])
+    assert np.array_equal(np.sin(a), [math.sin(x) for x in thetas])

@@ -25,7 +25,7 @@ from butlercad.components import (
 )
 from butlercad.errors import NetlistError, ResonantLoopError
 from butlercad.microstrip import Substrate
-from butlercad.network import Netlist, interconnect
+from butlercad.network import CHUNK, Netlist, interconnect
 from butlercad.sparams import DeviceModel
 from oracles import (
     cascade_two_hybrids,
@@ -147,28 +147,45 @@ def _lossless_reciprocal(rng, n):
     return q @ q.T
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(
-    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_random_lossless_netlist_property(sizes, seed):
+def _random_lossless_netlist(sizes, seed):
+    """Devices S(f) = P M P, M lossless and reciprocal, P = diag(exp(-j 2 pi f tau)).
+
+    P moves each port's reference plane by a random delay, so every device
+    stays lossless and reciprocal at every frequency.  Random pairs of
+    ports are joined and the rest exposed in random order.  Returns the
+    netlist and the generator, for further draws.
+    """
     rng = np.random.default_rng(seed)
     net = Netlist()
     refs = []
-    stack = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
     for k, n in enumerate(sizes):
-        m = _lossless_reciprocal(rng, n)
-        net.add(f"D{k}", DeviceModel(n, lambda f, m=m: m))
-        stack[len(refs) : len(refs) + n, len(refs) : len(refs) + n] = m
+        m, tau = _lossless_reciprocal(rng, n), rng.uniform(0.0, 1e-9, n)
+
+        def evaluate(f, m=m, tau=tau):
+            # one matrix per frequency: numpy's complex multiply may round a
+            # broadcast stack differently from one matrix in the last bit
+            p = np.exp(-2j * np.pi * np.multiply.outer(f, tau))
+            return np.array([pk[:, None] * m * pk for pk in p])
+
+        net.add(f"D{k}", DeviceModel(n, evaluate))
         refs += [(f"D{k}", p) for p in range(1, n + 1)]
     shuffled = rng.permutation(len(refs))
     n_pairs = int(rng.integers(0, (len(refs) - 1) // 2 + 1))  # expose at least one
-    pairs = [(int(a), int(b)) for a, b in shuffled[: 2 * n_pairs].reshape(-1, 2)]
-    external = [int(k) for k in shuffled[2 * n_pairs :]]
-    for a, b in pairs:
+    for a, b in shuffled[: 2 * n_pairs].reshape(-1, 2):
         net.connect(refs[a], refs[b])
-    net.expose(*[refs[k] for k in external])
+    net.expose(*[refs[k] for k in shuffled[2 * n_pairs :]])
+    return net, rng
+
+
+_SIZES = st.lists(st.integers(1, 4), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(sizes=_SIZES, seed=st.integers(0, 2**32 - 1))
+def test_random_lossless_netlist_property(sizes, seed):
+    net, rng = _random_lossless_netlist(sizes, seed)
+    stack, pairs, external = _stacked(net, F0)
+    n_pairs = len(pairs)
     try:
         got = interconnect(net, F0)
     except ResonantLoopError:
@@ -224,6 +241,107 @@ def test_join_is_bitwise_the_reference_join(make):
     assert checked >= 40
 
 
+_BUTLERS = {
+    "ideal_butler": lambda: build_butler_4x4("ideal", F0),
+    "circuit_butler": lambda: build_butler_4x4("circuit", F0, Substrate(4.9, 1.6e-3)),
+}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    fs=st.lists(st.floats(0.2e9, 10e9), min_size=1, max_size=40).map(sorted),
+    which=st.sampled_from([*_BUTLERS, "random_lossless"]),
+    sizes=_SIZES,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_is_bitwise_the_per_point_solves(fs, which, sizes, seed):
+    # up to 40 points, so some sweeps span two or three chunks
+    if which in _BUTLERS:
+        net = _BUTLERS[which]()
+    else:
+        net = _random_lossless_netlist(sizes, seed)[0]
+    try:
+        per_point = np.array([interconnect(net, f) for f in fs])
+    except ResonantLoopError as e:
+        with pytest.raises(ResonantLoopError) as batched:
+            interconnect(net, np.array(fs))
+        assert str(batched.value) == str(e)
+        return
+    got = interconnect(net, np.array(fs))
+    assert got.shape == per_point.shape == (len(fs), *per_point.shape[1:])
+    assert np.array_equal(got, per_point)
+    assert np.array_equal(got, [join_in_order(*_stacked(net, f)) for f in fs])
+
+
+def _first_error(net, fs):
+    """The error the per-point loop raises first, as (type, message)."""
+    for f in fs:
+        try:
+            interconnect(net, f)
+        except (ResonantLoopError, ValueError) as e:
+            return type(e), str(e)
+    raise AssertionError("no frequency fails")
+
+
+def _failing(n_ports, above):
+    """A matched device that refuses every frequency above ``above``."""
+
+    def evaluate(f):
+        if (f > above).any():
+            raise ValueError(f"refused {f[f > above][0]:.9g} Hz")
+        return np.zeros((len(f), n_ports, n_ports), dtype=complex)
+
+    return DeviceModel(n_ports, evaluate)
+
+
+def _two_rings(f0_a, f0_b):
+    """Branch-line hybrids A and B in cascade: each resonates at twice its f0."""
+    sub = Substrate(4.9, 1.6e-3)
+    net = Netlist()
+    net.add("A", branchline_hybrid_circuit(f0_a, sub))
+    net.add("B", branchline_hybrid_circuit(f0_b, sub))
+    net.connect(("A", 2), ("B", 1))
+    net.connect(("A", 3), ("B", 4))
+    net.expose(("A", 1), ("B", 2), ("B", 3), ("A", 4))
+    return net
+
+
+def _two_refusing():
+    net = Netlist()
+    net.add("A", _failing(1, 5e9))
+    net.add("B", _failing(1, 3e9))
+    net.expose(("A", 1), ("B", 1))
+    return net
+
+
+class TestSweepErrors:
+    """A failing chunk is solved point by point: the per-point loop's first error."""
+
+    def test_first_resonance_in_the_second_chunk(self):
+        net = _BUTLERS["circuit_butler"]()
+        fs = np.linspace(1.8 * F0, 2.0 * F0, CHUNK + 5)  # only the last point resonates
+        kind, message = _first_error(net, fs)
+        with pytest.raises(kind) as e:
+            interconnect(net, fs)
+        assert str(e.value) == message
+        assert message.startswith("HA: connection ") and " at 10.4 GHz " in message
+
+    @pytest.mark.parametrize("make, fs, first", [
+        # A is evaluated first and fails first in the chunk, at 2 F0; the
+        # sweep reaches B's resonance at 1.92 F0 before that
+        (lambda: _two_rings(F0, 0.96 * F0),
+         [1.5 * F0, 2.0 * 0.96 * F0, 1.95 * F0, 2.0 * F0, 2.05 * F0], "B: connection "),
+        (_two_refusing, [1e9, 4e9, 6e9], "refused 4e+09 Hz"),
+    ], ids=["two-rings", "two-refusing-devices"])
+    def test_two_devices_failing_in_one_chunk(self, make, fs, first):
+        net = make()
+        kind, message = _first_error(net, fs)
+        with pytest.raises(kind) as e:
+            interconnect(net, np.array(fs))
+        assert str(e.value) == message
+        assert message.startswith(first)
+
+
 class TestFailureModes:
     def test_resonant_loop_fails_loudly(self):
         # two cascaded half-wave lines closed on themselves resonate
@@ -276,7 +394,7 @@ class TestFailureModes:
         net = Netlist()
         net.add("A", tline(50.0, 0.001, 1.0, z_ref=50.0))
         net.add("B", tline(50.0, 0.001, 1.0, z_ref=75.0))
-        net.add("P", DeviceModel(1, lambda f: calls.append(f) or np.zeros((1, 1))))
+        net.add("P", DeviceModel(1, lambda f: calls.append(f) or np.zeros((len(f), 1, 1))))
         net.connect(("A", 2), ("B", 1))
         net.expose(("A", 1), ("B", 2), ("P", 1))
         with pytest.raises(NetlistError, match=r"mixed reference impedances \[50.0, 75.0\]"):
@@ -363,12 +481,23 @@ def _doc(devices=(_LOAD, _LINE), connections=(), external_ports=(["L", 1], ["T",
          r"^device record 1 \('J'\): "),
         ([_doc()], r"^netlist document has no 'devices' list$"),
         (_doc(connections=[[["L", 1], ["T", "x"]]], external_ports=[["T", 1]]),
-         r"^connection 0: invalid literal for int\(\) with base 10: 'x'$"),
+         r"^connection 0: port 'x' is not an integer$"),
         (_doc(external_ports=[["L", 1], ["T", 1], ["T", "x"]]),
-         r"^external_ports: invalid literal for int\(\) with base 10: 'x'$"),
+         r"^external_ports: port 'x' is not an integer$"),
+        (_doc(connections=[[["L", 1], ["T", 1.9]]], external_ports=[["T", 1]]),
+         r"^connection 0: port 1.9 is not an integer$"),
+        (_doc(external_ports=[["L", 1], ["T", 1], ["T", 2.7]]),
+         r"^external_ports: port 2.7 is not an integer$"),
+        (_doc(external_ports=[["L", True], ["T", 1], ["T", 2]]),
+         r"^external_ports: port True is not an integer$"),
+        (_doc(devices=[_LOAD, {**_LINE, "params": {**_LINE["params"], "z0_ohm": math.inf}}]),
+         r"^device record 1 \('T'\): tline needs finite values"),
+        (_doc(devices=[_LOAD, {**_LINE, "params": {**_LINE["params"], "eps_reff": math.inf}}]),
+         r"^device record 1 \('T'\): tline needs finite values"),
     ],
     ids=["missing-param", "missing-devices", "n_ports-string", "top-level-list",
-         "connection-port-x", "external-port-x"],
+         "connection-port-x", "external-port-x", "connection-port-1.9",
+         "external-port-2.7", "external-port-true", "z0-infinity", "eps_reff-infinity"],
 )
 def test_malformed_netlist_document_raises_netlist_error(doc, message):
     with pytest.raises(NetlistError, match=message):
@@ -378,7 +507,7 @@ def test_malformed_netlist_document_raises_netlist_error(doc, message):
 def test_device_model_port_count_check():
     bad = DeviceModel(
         n_ports=3,
-        evaluate=lambda f: np.zeros((2, 2)),
+        evaluate=lambda f: np.zeros((len(f), 2, 2)),
     )
     with pytest.raises(ValueError, match="declared"):
         bad.at(F0)
