@@ -56,9 +56,12 @@ class DeviceModel:
         """S at a scalar frequency, ``(n, n)``, or at an ``(F,)`` vector, ``(F, n, n)``.
 
         Both go through ``evaluate`` with an ``(F,)`` array; the stack's
-        shape is checked against the declared port count.
+        shape is checked against the declared port count.  An empty vector
+        gives the empty ``(0, n, n)`` stack without calling ``evaluate``.
         """
         fs = np.atleast_1d(np.asarray(frequency, dtype=float))
+        if not len(fs):
+            return np.empty((0, self.n_ports, self.n_ports), dtype=complex)
         if not (fs.min() > 0 and fs.max() < math.inf):  # NaN fails both
             bad = fs[~((fs > 0) & (fs < math.inf))][0]
             raise ValueError(f"frequency must be > 0 and finite, got {bad}")

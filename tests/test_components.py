@@ -257,7 +257,15 @@ class TestDeviceRegistry:
         fs = np.array([0.9 * F0, F0, 1.1 * F0])
         stack = dev.at(fs)
         assert stack.shape == (3, dev.n_ports, dev.n_ports)
-        assert np.array_equal(stack, [dev.at(f) for f in fs])
+        assert stack.tobytes() == np.array([dev.at(f) for f in fs]).tobytes()
+
+    @pytest.mark.parametrize("kind,params", SPECS)
+    def test_no_frequency_gives_an_empty_stack(self, kind, params):
+        dev = device_from_spec(kind, params)
+        for empty in ([], np.array([])):
+            stack = dev.at(empty)
+            assert stack.shape == (0, dev.n_ports, dev.n_ports)
+            assert stack.dtype == complex
 
     @pytest.mark.parametrize("f", [0.0, -1.0, math.inf, math.nan])
     def test_refuses_a_frequency_that_is_not_positive_and_finite(self, f):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from butlercad.butler import build_butler_4x4
@@ -67,6 +67,15 @@ class TestCascades:
         net.expose(("H", 1), ("H", 4))
         s = interconnect(net, F0)
         np.testing.assert_allclose(s, np.zeros((2, 2)), atol=1e-15)
+
+    def test_a_closed_netlist_has_an_empty_matrix(self):
+        # every port joined: the one block left holds no live port
+        net = Netlist()
+        net.add("L1", matched_load())
+        net.add("L2", matched_load())
+        net.connect(("L1", 1), ("L2", 1))
+        assert interconnect(net, F0).shape == (0, 0)
+        assert interconnect(net, [F0, 2 * F0]).shape == (2, 0, 0)
 
     def test_two_hybrids_cascade_into_a_crossover(self):
         net = Netlist()
@@ -182,6 +191,7 @@ _SIZES = st.lists(st.integers(1, 4), min_size=1, max_size=5)
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(sizes=_SIZES, seed=st.integers(0, 2**32 - 1))
+@example(sizes=[3, 4, 3], seed=27)  # a join forming its products in place fails here
 def test_random_lossless_netlist_property(sizes, seed):
     net, rng = _random_lossless_netlist(sizes, seed)
     stack, pairs, external = _stacked(net, F0)
@@ -195,7 +205,7 @@ def test_random_lossless_netlist_property(sizes, seed):
     order = [sorted(external).index(k) for k in external]
     expected = partition_reduce(stack, pairs)[np.ix_(order, order)]
     assert np.max(np.abs(got - expected)) < 1e-9
-    assert np.array_equal(got, join_in_order(stack, pairs, external))
+    assert got.tobytes() == join_in_order(stack, pairs, external).tobytes()
     reordered = Netlist(
         devices=net.devices,
         connections=[
@@ -236,7 +246,7 @@ def test_join_is_bitwise_the_reference_join(make):
             got = interconnect(net, f)
         except ResonantLoopError:
             continue
-        assert np.array_equal(got, join_in_order(*_stacked(net, f))), f
+        assert got.tobytes() == join_in_order(*_stacked(net, f)).tobytes(), f
         checked += 1
     assert checked >= 40
 
@@ -269,8 +279,8 @@ def test_sweep_is_bitwise_the_per_point_solves(fs, which, sizes, seed):
         return
     got = interconnect(net, np.array(fs))
     assert got.shape == per_point.shape == (len(fs), *per_point.shape[1:])
-    assert np.array_equal(got, per_point)
-    assert np.array_equal(got, [join_in_order(*_stacked(net, f)) for f in fs])
+    assert got.tobytes() == per_point.tobytes()
+    assert got.tobytes() == np.array([join_in_order(*_stacked(net, f)) for f in fs]).tobytes()
 
 
 def _first_error(net, fs):
