@@ -91,7 +91,13 @@ _input_port = _one_of(*butler.INPUT_PORT_NAMES)
 
 
 def _input_ports(value) -> list[str]:
-    return [_input_port(x.strip()) for x in str(value).split(",") if x.strip()]
+    ports = [_input_port(x.strip()) for x in str(value).split(",") if x.strip()]
+    if not ports:
+        raise CliError("no input port given")
+    for k, port in enumerate(ports):
+        if port in ports[:k]:
+            raise CliError(f"input port {port} given twice")
+    return ports
 
 
 REQUIRED = object()  # default of a flag that must be given

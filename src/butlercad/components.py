@@ -32,7 +32,7 @@ import numpy as np
 from . import microstrip
 from .errors import NetlistError
 from .microstrip import MicrostripLineSpec, Substrate
-from .network import Netlist, interconnect
+from .network import Netlist, compile_netlist
 from .sparams import Z_REF_DEFAULT, DeviceModel, abcd_to_s
 
 
@@ -242,10 +242,10 @@ def branchline_hybrid_circuit(
     """
     if f0 <= 0:
         raise ValueError(f"f0 must be > 0, got {f0}")
-    net = _branchline_net(f0, substrate, z_ref)
+    ring = compile_netlist(_branchline_net(f0, substrate, z_ref))
     return DeviceModel(
         n_ports=4,
-        evaluate=lambda f: -interconnect(net, f),
+        evaluate=lambda f: -ring(f),
         kind="branchline_hybrid",
         params={
             "f0_hz": f0,
@@ -276,7 +276,7 @@ def crossover_circuit(
 
     return DeviceModel(
         n_ports=4,
-        evaluate=lambda f: interconnect(net, f),
+        evaluate=compile_netlist(net),
         kind="crossover_circuit",
         params=dict(half.params),  # the same design as each of its hybrids
     )

@@ -3,10 +3,10 @@
 A :class:`Netlist` is a set of named devices, a list of port-to-port
 connections, and an ordered list of external ports.  Every device of a
 netlist must share one reference impedance (``DeviceModel.z_ref``), and
-``interconnect`` checks this before it evaluates any device.  It then
-grows sub-networks: every device starts as a block of its own ports, and
-each connection, in list order, either merges the two blocks it names into
-their block-diagonal stack or works inside one block.  Joining ports p and
+this is checked before any device is evaluated.  The solve grows
+sub-networks: every device starts as a block of its own ports, and each
+connection, in list order, either merges the two blocks it names into one
+stack, zero between them, or works inside one block.  Joining ports p and
 q (same reference impedance, ideal junction) gives, for every other pair
 of ports i, j of the block,
 
@@ -19,21 +19,28 @@ standard self-connection reduction; connecting ports of two different
 blocks is the same formula applied to their stack (the cross terms are
 then zero and D collapses to 1 - S_pp * S_qq).  Which blocks each join
 touches, and where its ports sit in them, follows from the topology alone,
-so ``interconnect`` plans the joins once per call.  The external ports are
-read out of the blocks left at the end, in their declared order, as a
-plain complex ndarray referenced to the devices' shared impedance; the
-result does not depend on the elimination order.
+so ``compile_netlist`` checks a netlist and plans its joins once and
+returns its solve.  ``interconnect(net, f)`` is ``compile_netlist(net)(f)``,
+and the composite devices of ``components`` compile their netlists when
+they are built, so a sweep plans each netlist once, however many chunks
+and nested solves it takes.  The external ports are read out of the
+blocks left at the end, in their declared order, as a plain complex
+ndarray referenced to the devices' shared impedance; the result does not
+depend on the elimination order.
 
 ``interconnect(net, frequencies)`` takes a scalar, giving the ``(n, n)``
 matrix, or an ``(F,)`` vector, giving the ``(F, n, n)`` stack; both go
-through one code path.  It checks the netlist and plans the joins once,
-then solves ``CHUNK`` frequencies at a time: every device is evaluated
-over the chunk (``DeviceModel.evaluate`` maps ``(F,)`` to ``(F, n, n)``)
-and each join maps a block's ``(F, m, m)`` stack to an ``(F, m - 2, m - 2)``
-one.  Each matrix of the stack is bit for bit the matrix one frequency
-alone gives, and the one that joining every pair in a fixed index space
-of all ports gives (``join_in_order`` in ``tests/oracles.py``), which
-keeps every artifact byte.  That rests on four rules of operation order:
+through one code path.  The solve takes ``CHUNK`` frequencies at a time:
+every device is evaluated over the chunk (``DeviceModel.evaluate`` maps
+``(F,)`` to ``(F, n, n)``) and each join maps a block's ``(F, m, m)``
+stack to an ``(F, m - 2, m - 2)`` one.  A join inside one block gathers
+its ports in the step's order (the ports that stay, then p, then q); a
+merge scatters both blocks straight into one zeroed stack in that order.
+Either way the blocks taken are released at once, and the plan holds
+every index.  Each matrix of the stack is bit for bit the matrix one
+frequency alone gives, and the one that joining every pair in a fixed
+index space of all ports gives (``join_in_order`` in ``tests/oracles.py``),
+which keeps every artifact byte.  That rests on five rules of operation order:
 
 - D is built from explicit real products,
   ``re = ar*br - ai*bi`` and ``im = ar*bi + ai*br``, and |D| is
@@ -43,8 +50,8 @@ keeps every artifact byte.  That rests on four rules of operation order:
 - The update keeps the per-frequency association:
   ``col_q*row_p*(1 - S_qp)``, then ``+ col_p*row_q*(1 - S_pq)``, then
   ``+ col_p*row_p*S_qq``, then ``+ col_q*row_q*S_pp``, then ``/ D``, then
-  ``S +``.  Every array operation keeps its inner loop over one row or one
-  matrix of a block, as at one frequency alone.
+  the sum with ``S``.  Every array operation keeps its inner loop over one
+  row or one matrix of a block, as at one frequency alone.
 - No product is formed in place.  A block can shrink to 1x1, and numpy
   2.4.6 multiplies one-element complex128 arrays in place with another
   kernel than every other array product: of 10,000 random products, 4,976
@@ -56,11 +63,20 @@ keeps every artifact byte.  That rests on four rules of operation order:
   the error is the one the first failing frequency raises on its own,
   naming the same device, pair and frequency.  |D| is tested before the
   division, so no numpy warning leaks.
+- Sums may be formed in place, products and quotients may not: the four
+  terms accumulate with ``terms +=``, and ``S[keep, keep]`` is added to
+  the quotient in place.  IEEE addition is correctly rounded and
+  commutative, so ``q += s`` gives the bytes of ``s + q`` whatever the
+  kernel: of 10,000 random complex sums at each of the lengths 1, 2, 3, 4,
+  7, 16 and 784, in place, out of place and with the operands swapped, no
+  part differed, while the same probe found in-place products differing
+  at length 1 as above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -73,10 +89,22 @@ PortRef = tuple[str, int]  # (device name, 1-based port)
 # matrix is from singular; a lossless result's unitarity residual is ~1.4e-17/|D|.
 RESONANCE_TOL = 1e-7
 
-# frequencies solved together: enough to amortize the per-join Python work,
-# while a chunk's blocks stay small (the largest of the Butler matrix, 14
-# ports, is a 50 kB (F, m, m) stack)
-CHUNK = 16
+# frequencies solved together.  A chunk pays the per-join Python work once
+# (on the circuit Butler, 78 joins and 76 device evaluations), and its working
+# set, about four stacks of its largest block, grows with it.  Measured on the
+# 121-point circuit_sweep bench workload (bench/run.py, 30 s runs, seed 83,
+# 2 vCPUs, Python 3.11.7, numpy 2.4.6), and as the tracemalloc peak of a
+# 1001-point circuit Butler sweep, 1.03 MB of which is the result:
+#
+#   CHUNK                  points/s    peak RSS, MB   tracemalloc, MB
+#   16, with the old join  1276-1382   39.52-39.76    1.33
+#   32                     2114-2116   39.92-39.97    1.43
+#   48                     2260-2274   40.27-40.32    1.63
+#   64                     2565-2749   40.50-40.80    1.81
+#
+# 48 keeps the peak RSS within 2 % of the old join's; 64 read up to 3 % more,
+# close to the 5 % the bench allows.
+CHUNK = 48
 
 
 @dataclass
@@ -156,53 +184,116 @@ def _eliminate_pair(s: np.ndarray, link: tuple, fs: np.ndarray) -> np.ndarray:
     col_p, col_q = s[:, :-2, -2, None], s[:, :-2, -1, None]
     row_p, row_q = s[:, None, -2, :-2], s[:, None, -1, :-2]
     terms = col_q * row_p * one_qp[:, None, None]
-    terms = terms + col_p * row_q * one_pq[:, None, None]
-    terms = terms + col_p * row_p * s_qq[:, None, None]
-    terms = terms + col_q * row_q * s_pp[:, None, None]
-    return s[:, :-2, :-2] + terms / denom[:, None, None]
+    terms += col_p * row_q * one_pq[:, None, None]
+    terms += col_p * row_p * s_qq[:, None, None]
+    terms += col_q * row_q * s_pp[:, None, None]
+    out = terms / denom[:, None, None]
+    out += s[:, :-2, :-2]
+    return out
 
 
-def _block_diagonal(blocks: list, n_freq: int) -> np.ndarray:
-    """The ``(F, m, m)`` stack with ``blocks`` on its diagonal, zero elsewhere."""
-    if len(blocks) == 1:
-        return blocks[0]
-    s = np.zeros((n_freq,) + (sum(b.shape[1] for b in blocks),) * 2, dtype=complex)
-    start = 0
-    for b in blocks:
-        span = slice(start, start + b.shape[1])
-        s[:, span, span] = b
-        start = span.stop
+def _square(index) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the ``index`` ports of an ``(F, m, m)`` stack."""
+    index = np.asarray(index, dtype=np.intp)
+    return index[:, None], index
+
+
+def _arrange(blocks: list, a: int, b: int | None, index: tuple) -> np.ndarray:
+    """Take block ``a``, and ``b`` if given, out of ``blocks`` as one stack in a step's order.
+
+    Inside one block ``index`` gathers the order; a merge scatters both
+    blocks into one zeroed stack.  Either way the blocks taken are released.
+    """
+    if b is None:
+        s = blocks[a][:, index[0], index[1]]
+    else:
+        (rows_a, cols_a), (rows_b, cols_b) = index
+        m = len(cols_a) + len(cols_b)
+        s = np.zeros((len(blocks[a]), m, m), dtype=complex)
+        s[:, rows_a, cols_a] = blocks[a]
+        s[:, rows_b, cols_b] = blocks[b]
+        blocks[b] = None
+    blocks[a] = None
     return s
 
 
-def _join_plan(net: Netlist) -> tuple[list, list, np.ndarray]:
+def _join_plan(net: Netlist) -> tuple[list, list]:
     """The joins of ``net`` as steps on blocks of live ports, from its topology alone.
 
-    Block k starts as device k's ports.  A step is ``(a, b, perm, link)``:
+    Block k starts as device k's ports.  A step is ``(a, b, index, link)``:
     the joined pair's blocks (``b`` is None inside block ``a``; else ``b``
-    is appended to ``a``), the local order that puts the pair last (the
-    ports that stay, then p, then q), and the connection.  Returns the
-    steps, the blocks left with live ports, and where each external port
-    sits in those blocks' stack.
+    merges into ``a``), the indices that put the block's ports in the
+    step's order (the ports that stay, then p, then q), and the connection.
+    Inside one block ``index`` gathers that order; for a merge it is the
+    pair of places that ``a``'s and ``b``'s ports are scattered to.
+    Returns the steps and, for each block left with live ports, the places
+    of its ports among the external ports.
     """
     blocks = [[(name, k) for k in range(1, dev.n_ports + 1)] for name, dev in net.devices.items()]
     home = {ref: k for k, ports in enumerate(blocks) for ref in ports}
     steps = []
     for link in net.connections:
         a, b = home[link[0]], home[link[1]]
-        ports = blocks[a]
-        if a != b:
-            ports = ports + blocks[b]
+        ports = blocks[a] if a == b else blocks[a] + blocks[b]
+        p, q = ports.index(link[0]), ports.index(link[1])
+        order = [k for k in range(len(ports)) if k != p and k != q] + [p, q]
+        if a == b:
+            steps.append((a, None, _square(order), link))
+        else:
+            place = sorted(range(len(order)), key=order.__getitem__)  # where each port goes
+            split = len(blocks[a])
+            steps.append((a, b, (_square(place[:split]), _square(place[split:])), link))
             for ref in blocks[b]:
                 home[ref] = a
             blocks[b] = []
-        p, q = ports.index(link[0]), ports.index(link[1])
-        keep = [k for k in range(len(ports)) if k != p and k != q]
-        blocks[a] = [ports[k] for k in keep]
-        steps.append((a, None if a == b else b, np.array(keep + [p, q]), link))
-    live = [k for k, ports in enumerate(blocks) if ports]
-    at = {ref: i for i, ref in enumerate(ref for k in live for ref in blocks[k])}
-    return steps, live, np.array([at[ref] for ref in net.external_ports], dtype=np.intp)
+        blocks[a] = [ports[k] for k in order[:-2]]
+    at = {ref: i for i, ref in enumerate(net.external_ports)}
+    final = [(k, _square([at[ref] for ref in ports])) for k, ports in enumerate(blocks) if ports]
+    return steps, final
+
+
+def compile_netlist(net: Netlist) -> Callable[[object], np.ndarray]:
+    """Check ``net`` and plan its joins once; returns ``solve(frequencies)``.
+
+    ``solve(f)`` is ``interconnect(net, f)`` for ``net`` as it is now:
+    later edits of ``net`` do not reach it.  See the module docstring.
+    """
+    net.validate()
+    z_refs = {dev.z_ref for dev in net.devices.values()}
+    if len(z_refs) > 1:
+        raise NetlistError(f"mixed reference impedances {sorted(z_refs)}")
+    devices = list(net.devices.items())
+    steps, final = _join_plan(net)
+    n = len(net.external_ports)
+
+    def solve_chunk(fs: np.ndarray, out: np.ndarray) -> None:
+        """Write the ``(F, n, n)`` result at ``fs`` into the zeroed ``out``."""
+        blocks = []
+        for name, dev in devices:
+            try:
+                blocks.append(dev.at(fs))
+            except ResonantLoopError as e:  # a loop inside a composite device
+                raise ResonantLoopError(f"{name}: {e}") from None
+        for a, b, index, link in steps:
+            blocks[a] = _eliminate_pair(_arrange(blocks, a, b, index), link, fs)
+        for k, (rows, cols) in final:
+            out[:, rows, cols] = blocks[k]
+
+    def solve(frequencies) -> np.ndarray:
+        fs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+        out = np.zeros((len(fs), n, n), dtype=complex)
+        for start in range(0, len(fs), CHUNK):
+            chunk = fs[start : start + CHUNK]
+            try:
+                solve_chunk(chunk, out[start : start + len(chunk)])
+            except (ButlerCadError, ArithmeticError, ValueError):
+                if len(chunk) == 1:
+                    raise
+                for k in range(start, start + len(chunk)):  # raises the first failure's error
+                    solve_chunk(fs[k : k + 1], out[k : k + 1])
+        return out if np.ndim(frequencies) else out[0]
+
+    return solve
 
 
 def interconnect(net: Netlist, frequencies) -> np.ndarray:
@@ -211,34 +302,4 @@ def interconnect(net: Netlist, frequencies) -> np.ndarray:
     ``frequencies`` is a scalar, giving ``(n, n)``, or an ``(F,)`` vector,
     giving ``(F, n, n)``; see the module docstring.
     """
-    net.validate()
-    z_refs = {dev.z_ref for dev in net.devices.values()}
-    if len(z_refs) > 1:
-        raise NetlistError(f"mixed reference impedances {sorted(z_refs)}")
-    steps, live, order = _join_plan(net)
-
-    def solve(fs: np.ndarray) -> np.ndarray:
-        blocks = []
-        for name, dev in net.devices.items():
-            try:
-                blocks.append(dev.at(fs))
-            except ResonantLoopError as e:  # a loop inside a composite device
-                raise ResonantLoopError(f"{name}: {e}") from None
-        for a, b, perm, link in steps:
-            s = blocks[a] if b is None else _block_diagonal([blocks[a], blocks[b]], len(fs))
-            blocks[a] = _eliminate_pair(s[:, perm[:, None], perm], link, fs)
-        s = _block_diagonal([blocks[k] for k in live], len(fs))
-        return s[:, order[:, None], order]
-
-    fs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    out = np.empty((len(fs), len(order), len(order)), dtype=complex)
-    for start in range(0, len(fs), CHUNK):
-        chunk = fs[start : start + CHUNK]
-        try:
-            out[start : start + len(chunk)] = solve(chunk)
-        except (ButlerCadError, ArithmeticError, ValueError):
-            if len(chunk) == 1:
-                raise
-            for k in range(len(chunk)):  # raises the first failing frequency's error
-                out[start + k] = solve(chunk[k : k + 1])[0]
-    return out if np.ndim(frequencies) else out[0]
+    return compile_netlist(net)(frequencies)

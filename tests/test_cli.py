@@ -225,6 +225,24 @@ class TestButlerCommand:
         rows = (tmp_path / "butler_ideal_excitations.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 2 * 4
 
+    @pytest.mark.parametrize("ports, message", [
+        ("", "--ports: no input port given"),
+        (" , ", "--ports: no input port given"),
+        ("1R,1R", "--ports: input port 1R given twice"),
+        ("2L,1R,2l", "--ports: input port 2L given twice"),
+    ], ids=["empty", "only-commas", "repeated", "repeated-other-case"])
+    def test_empty_or_repeated_ports_are_one_line(self, tmp_path, capsys, ports, message):
+        rc = main(
+            ["butler", "--fidelity", "ideal", "--f0", "5.2GHz",
+             "--f-start", "5GHz", "--f-stop", "5.4GHz", "--n-points", "2",
+             "--ports", ports, "--outdir", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"butlercad: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_circuit_fidelity_run(self, tmp_path):
         rc = main(
             ["butler", "--fidelity", "circuit", "--er", "4.9", "--h", "1.6mm",

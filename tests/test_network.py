@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from butlercad import network
 from butlercad.butler import build_butler_4x4
 from butlercad.components import (
     _branchline_net,
@@ -281,6 +283,64 @@ def test_sweep_is_bitwise_the_per_point_solves(fs, which, sizes, seed):
     assert got.shape == per_point.shape == (len(fs), *per_point.shape[1:])
     assert got.tobytes() == per_point.tobytes()
     assert got.tobytes() == np.array([join_in_order(*_stacked(net, f)) for f in fs]).tobytes()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    fs=st.lists(st.floats(0.2e9, 10e9), min_size=1, max_size=70).map(sorted),
+    which=st.sampled_from([*_BUTLERS, "random_lossless"]),
+    sizes=_SIZES,
+    seed=st.integers(0, 2**32 - 1),
+)
+# a join that leaves a 1x1 block, where numpy multiplies in place with another kernel
+@example(fs=[1e9, 2e9, 3e9, 4e9, 5e9], which="random_lossless", sizes=[3], seed=2)
+@example(fs=[1e9, 2e9, 3e9, 4e9, 5e9], which="random_lossless", sizes=[1, 1, 3], seed=0)
+def test_sweep_bytes_do_not_depend_on_the_chunk_size(fs, which, sizes, seed):
+    if which in _BUTLERS:
+        net = _BUTLERS[which]()
+    else:
+        net = _random_lossless_netlist(sizes, seed)[0]
+    outcomes = set()
+    for chunk in (1, 3, 16, CHUNK, 10**6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "CHUNK", chunk)
+            try:
+                outcomes.add(interconnect(net, np.array(fs)).tobytes())
+            except ResonantLoopError as e:
+                outcomes.add(str(e))
+    assert len(outcomes) == 1
+
+
+def test_a_sweep_plans_its_joins_once(monkeypatch):
+    plans = []
+    plan = network._join_plan
+    monkeypatch.setattr(network, "_join_plan", lambda net: plans.append(net) or plan(net))
+    net = _BUTLERS["circuit_butler"]()
+    assert len(plans) == 3  # at build: the hybrid's ring, the crossover's ring and the crossover
+    interconnect(net, np.linspace(4.7e9, 5.7e9, 121))
+    assert plans[3:] == [net]
+
+
+def test_a_compiled_netlist_does_not_see_later_edits():
+    net = _two_port_net(tline(50.0, 0.004, 2.5), tline(50.0, 0.007, 2.5))
+    solve = network.compile_netlist(net)
+    expected = interconnect(net, F0)
+    net.devices["D1"] = tline(50.0, 0.009, 2.5)
+    assert solve(F0).tobytes() == expected.tobytes()
+
+
+def test_a_long_circuit_sweep_stays_small():
+    # the (1001, 8, 8) result is 1.03 MB.  Measured peaks: 1.63 MB at CHUNK 48;
+    # with the old join that gathered the block-diagonal stack, 1.33 MB at
+    # CHUNK 16 and 1.9 MB at 48
+    net = _BUTLERS["circuit_butler"]()
+    tracemalloc.start()
+    try:
+        interconnect(net, np.linspace(1e9, 10e9, 1001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7e6
 
 
 def _first_error(net, fs):
