@@ -129,7 +129,18 @@ def array_factor(
         )
     th = default_angle_grid() if angles is None else np.asarray(angles, dtype=float)
     bd = geometry.wavenumber * geometry.spacing_d
-    phase = np.outer(np.arange(geometry.n_elements), bd * np.sin(th))
+    u = bd * np.sin(th)
+    # the last element's phase may move at most pi between adjacent samples,
+    # or the grid cannot sample the array factor (about d = 191 lambda at
+    # the default step)
+    swing = (geometry.n_elements - 1) * float(np.max(np.abs(np.diff(u)), initial=0.0))
+    if swing > math.pi:
+        raise ValueError(
+            f"angle grid aliases the array factor: the last element's phase moves "
+            f"{swing:.6g} rad between adjacent samples, above pi at "
+            f"d = {bd / (2.0 * math.pi):.6g} wavelengths"
+        )
+    phase = np.outer(np.arange(geometry.n_elements), u)
     field = np.abs(a @ np.exp(1j * phase)) * element_pattern(th, element_model)
     if normalize:
         peak = float(np.max(field))

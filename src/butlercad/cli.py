@@ -241,15 +241,9 @@ def _cmd_butler(v: SimpleNamespace) -> int:
     ts_path = _resolve(f"{v.prefix}_{v.fidelity}.s8p", v)
     touchstone_write(frequencies, s, v.format, ts_path, unit=v.unit)
 
-    rows = []
-    for f, m in zip(frequencies, s):
-        for name in v.ports:
-            j = butler.INPUT_PORT_NAMES.index(name)
-            for k, out_name in enumerate(butler.OUTPUT_PORT_NAMES):
-                rows.append((name, f, out_name, m[4 + k, j]))
     csv_path = _resolve(f"{v.prefix}_{v.fidelity}_excitations.csv", v)
     with csv_path.open("w", encoding="ascii", newline="\n") as fh:
-        report.excitation_csv(rows, fh)
+        report.excitation_csv((frequencies, s), fh, v.ports)
 
     excitations = butler.excitation_table(net, v.f0)
     table = butler.beam_table({name: excitations[name] for name in v.ports}, v.f0)

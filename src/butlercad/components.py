@@ -68,6 +68,32 @@ _CROSSOVER_S = _read_only(np.array(
 ))
 
 
+# A phase of theta radians is good to about theta * 2**-53.  Past this bound
+# that error passes 1e-9 rad, the budget of a Touchstone round trip, and
+# past about 5.7e16 rad it passes a whole turn, so a device refuses the
+# frequency rather than return noise.
+MAX_PHASE_RAD = 1e-9 * 2.0**53  # about 9.0e6 rad
+
+
+def _refuse_phase(f: np.ndarray, phase: np.ndarray, what: str) -> None:
+    """Refuse the frequency of the first infinite phase, else of the first past the bound.
+
+    Devices call it only once a maximum they take anyway passes
+    ``MAX_PHASE_RAD``, so a good sweep pays no extra pass.
+    """
+    size = np.abs(phase)
+    infinite = size == math.inf
+    if infinite.any():
+        raise ValueError(f"frequency {float(f[infinite][0])!r} Hz gives an infinite {what}")
+    past = size > MAX_PHASE_RAD
+    if past.any():
+        k = int(np.argmax(past))
+        raise ValueError(
+            f"frequency {float(f[k])!r} Hz gives {what} {size[k]:.6g} rad, beyond the "
+            f"{MAX_PHASE_RAD:.6g} rad at which float rounding passes 1e-9 rad"
+        )
+
+
 def ideal_hybrid(z_ref: float = Z_REF_DEFAULT) -> DeviceModel:
     """Lossless 3 dB quadrature hybrid, equal split with 90 degree offset.
 
@@ -106,10 +132,15 @@ def phase_shifter(phi0: float, f0: float, z_ref: float = Z_REF_DEFAULT) -> Devic
 
     def evaluate(f: np.ndarray) -> np.ndarray:
         # f.max() / f0 is the largest ratio; a float division overflows without a warning
-        if not math.isfinite(float(f.max()) / f0):
+        ratio = float(f.max()) / f0
+        if not math.isfinite(ratio):
             raise ValueError(f"phase shifter: f/f0 overflows for f0 = {float(f0)!r} Hz")
+        with np.errstate(over="ignore"):  # an overflow is refused below, naming f
+            phase = -phi0 * f / f0
+        if abs(phi0) * ratio > MAX_PHASE_RAD:
+            _refuse_phase(f, phase, "phase")
         s = np.zeros((len(f), 2, 2), dtype=complex)
-        s[:, 0, 1] = s[:, 1, 0] = np.exp(1j * (-phi0 * f / f0))
+        s[:, 0, 1] = s[:, 1, 0] = np.exp(1j * phase)
         return s
 
     return DeviceModel(
@@ -140,10 +171,11 @@ def tline(
         with np.errstate(over="ignore"):  # an overflow is refused below, naming f
             lam = microstrip.C0 / f / math.sqrt(eps_reff)
             theta = 2.0 * math.pi * length / lam
-        for what, x in (("wavelength", lam), ("electrical length", theta)):
-            if x.max() == math.inf:
-                bad = float(f[x == math.inf][0])
-                raise ValueError(f"frequency {bad!r} Hz gives an infinite {what}")
+        if lam.max() == math.inf:
+            bad = float(f[lam == math.inf][0])
+            raise ValueError(f"frequency {bad!r} Hz gives an infinite wavelength")
+        if theta.max() > MAX_PHASE_RAD:  # an infinite theta included
+            _refuse_phase(f, theta, "electrical length")
         cos, sin = np.cos(theta).astype(complex), np.sin(theta)
         return abcd_to_s(cos, 1j * (z0 * sin), 1j * (sin / z0), cos, z_ref)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,15 +161,25 @@ def build_design_report(
 
 
 def excitation_csv(
-    table_rows: list[tuple[str, float, str, complex]], stream
+    sweep: tuple[np.ndarray, np.ndarray], stream, ports: Sequence[str]
 ) -> None:
-    """Write long-form coupling rows: port, frequency, output, mag dB, phase deg."""
+    """Write the coupling rows of a Butler sweep: port, frequency, output, mag dB, phase deg.
+
+    ``sweep`` is the ``(F,)`` frequencies with their ``(F, 8, 8)`` stack.
+    Rows run by frequency, then input port in ``ports`` order, then A1..A4.
+    """
+    frequencies, s = sweep
+    cols = [butler.INPUT_PORT_NAMES.index(port) for port in ports]
+    mag_db, phase = polar(s[:, 4:, cols].transpose(0, 2, 1), db=True)
+    records = np.stack((mag_db, phase), axis=-1).reshape(len(s), 8 * len(cols))
+    # one frequency's rows as one template, cut where its frequency goes
+    pieces = "".join(
+        f"{port},\0,{out},%.9g,%.9g\n" for port in ports for out in butler.OUTPUT_PORT_NAMES
+    ).split("\0")
     stream.write("input_port,frequency_hz,output_port,magnitude_db,phase_deg\n")
-    amps = np.fromiter((row[3] for row in table_rows), complex, len(table_rows))
-    mag_db, phase = polar(amps, db=True)
     stream.writelines(
-        f"{port},{freq:.9g},{out},{m:.9g},{ph:.9g}\n"
-        for (port, freq, out, _), m, ph in zip(table_rows, memoryview(mag_db), memoryview(phase))
+        ("%.9g" % f).join(pieces) % tuple(row)
+        for f, row in zip(frequencies.tolist(), records.tolist())
     )
 
 

@@ -18,6 +18,7 @@ from butlercad.beams import (
 )
 from butlercad.butler import build_butler_4x4, excitation_table
 from butlercad.errors import DegeneratePatternError, GratingLobeError
+from butlercad.microstrip import C0
 from oracles import brute_force_peak
 
 F0 = 5.2e9
@@ -189,3 +190,14 @@ def test_geometry_validation():
 def test_geometry_needs_finite_spacing_and_frequency(spacing, frequency):
     with pytest.raises(ValueError, match="finite"):
         ArrayGeometry(4, spacing, frequency)
+
+
+@pytest.mark.parametrize("step, limit", [(0.05, 190.99), (1.0, 9.549)])
+def test_a_grid_too_coarse_for_the_spacing_is_refused(step, limit):
+    # (N - 1) * beta * d * max(delta sin theta) = pi at d = limit wavelengths
+    grid = default_angle_grid(step)
+    lam = C0 / F0
+    array_factor(np.ones(4), ArrayGeometry(4, 0.999 * limit * lam, F0), angles=grid)
+    with pytest.raises(ValueError, match="angle grid aliases the array factor"):
+        array_factor(np.ones(4), ArrayGeometry(4, 1.001 * limit * lam, F0), angles=grid)
+

@@ -341,6 +341,29 @@ class TestNonFiniteValues:
         assert "1e-320 Hz" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["butler", "--fidelity", "circuit", "--er", "4.9", "--h", "1.6mm",
+              "--f0", "5.2GHz", "--f-start", "1e300", "--f-stop", "1e301",
+              "--n-points", "3"], "frequency 1e+300 Hz gives electrical length"),
+            (["butler", "--fidelity", "ideal", "--f0", "5.2GHz", "--f-start", "1e300",
+              "--f-stop", "1e301", "--n-points", "3"], "frequency 1e+300 Hz gives phase"),
+            (["pattern", "--port", "1R", "--f0", "5.2GHz", "--spacing", "1e300"],
+             "angle grid aliases the array factor"),
+        ],
+        ids=["circuit-line-phase", "ideal-shifter-phase", "aliased-pattern-grid"],
+    )
+    def test_float_noise_is_refused_in_one_line(self, tmp_path, capsys, argv, named):
+        rc = main(argv + ["--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert named in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_infinite_scenario_number_is_one_line(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         scen.write_text('{"freq": 1e999, "er": 4.9, "h": "1.6mm"}')  # loads as inf

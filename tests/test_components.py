@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butlercad.components import (
+    MAX_PHASE_RAD,
     branchline_hybrid_circuit,
     crossover_circuit,
     device_from_spec,
@@ -18,7 +19,7 @@ from butlercad.components import (
     shunt_junction,
     tline,
 )
-from butlercad.microstrip import Substrate
+from butlercad.microstrip import C0, Substrate
 from oracles import reciprocity_residual, unitarity_residual
 
 FR4 = Substrate(4.9, 1.6e-3)
@@ -90,6 +91,25 @@ class TestPhaseShifter:
         with pytest.raises(ValueError, match="f0 = 1e-320 Hz"):
             phase_shifter(math.pi / 4, 1e-320).at(F0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_phase_past_float_precision_is_refused_naming_its_frequency(self):
+        dev = phase_shifter(math.pi / 4, F0)
+        edge = MAX_PHASE_RAD / (math.pi / 4) * F0  # the frequency of the largest phase taken
+        dev.at(0.999 * edge)
+        with pytest.raises(ValueError) as e:
+            dev.at(np.array([F0, 0.999 * edge, 1.001 * edge, 2 * edge]))
+        phase = math.pi / 4 * (1.001 * edge) / F0
+        assert str(e.value) == (
+            f"frequency {1.001 * edge!r} Hz gives phase {phase:.6g} rad, beyond the "
+            f"{MAX_PHASE_RAD:.6g} rad at which float rounding passes 1e-9 rad"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_phase_is_named(self):
+        with pytest.raises(ValueError) as e:
+            phase_shifter(1e300, 1.0).at(np.array([1.0, 1e10]))
+        assert str(e.value) == "frequency 10000000000.0 Hz gives an infinite phase"
+
     @pytest.mark.parametrize("f", ALL_FREQS)
     def test_unit_magnitude_everywhere(self, f):
         s = phase_shifter(math.pi / 4, F0).at(f)
@@ -141,6 +161,17 @@ class TestTline:
         with pytest.raises(ValueError) as e:
             dev.at(np.array([F0, f]))
         assert str(e.value) == f"frequency {f!r} Hz gives an infinite {what}"
+
+    @pytest.mark.filterwarnings("error")
+    def test_electrical_length_past_float_precision_is_refused_naming_its_frequency(self):
+        dev = tline(50.0, 1.0, 1.0)
+        edge = MAX_PHASE_RAD / (2.0 * math.pi) * C0  # theta = 2*pi*f/C0 on a 1 m air line
+        dev.at(0.999 * edge)
+        with pytest.raises(ValueError) as e:
+            dev.at(np.array([F0, 0.999 * edge, 1.001 * edge, 2 * edge]))
+        assert str(e.value).startswith(f"frequency {1.001 * edge!r} Hz gives electrical length ")
+        assert str(e.value).endswith(f"beyond the {MAX_PHASE_RAD:.6g} rad at which float "
+                                     "rounding passes 1e-9 rad")
 
     @pytest.mark.parametrize("f", ALL_FREQS)
     def test_lossless_and_reciprocal(self, f):

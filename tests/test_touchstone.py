@@ -2,6 +2,8 @@
 
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from butlercad import __version__
+from butlercad import __version__, touchstone
 from butlercad.components import ideal_hybrid
 from butlercad.errors import TouchstoneError, TouchstoneParseError
 from butlercad.report import excitation_csv
@@ -379,14 +381,200 @@ def test_reader_matches_entry_by_entry_reader_on_any_fields(data, n, n_freqs, fm
     assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
 
 
+_OUTPUTS = ("A1", "A2", "A3", "A4")
+
+
+def _waves(n_freqs: int, seed: int) -> np.ndarray:
+    """(F, 4, 4) waves whose parts mix 1e-300..1e3 magnitudes with 0.0, -0.0 and denormals."""
+    rng = np.random.default_rng(seed)
+    shape = (2, n_freqs, 4, 4)
+    parts = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 4, size=shape)
+    kind = rng.integers(0, 5, size=shape)
+    parts[kind == 1] = 0.0
+    parts[kind == 2] = -0.0
+    denormal = rng.uniform(-2.2e-308, 2.2e-308, size=shape)
+    parts[kind == 3] = denormal[kind == 3]
+    waves = np.empty(shape[1:], dtype=complex)
+    waves.real, waves.imag = parts  # not parts[0] + 1j * parts[1], which loses -0.0
+    return waves
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(
-    amps=arrays(complex, st.integers(0, 40), elements=_ENTRY),
+    amps=arrays(complex, st.tuples(st.integers(0, 10), st.just(4)), elements=_ENTRY),
     freq=st.floats(1e3, 1e11),
 )
 def test_excitation_csv_matches_entry_by_entry_rows(amps, freq):
-    names = ("A1", "A2", "A3", "A4")
-    rows = [("1R", np.float64(freq) * (1 + k), names[k % 4], a) for k, a in enumerate(amps)]
+    frequencies = np.float64(freq) * (1 + np.arange(len(amps)))
+    s = np.zeros((len(amps), 8, 8), dtype=complex)
+    s[:, 4:, 0] = amps
+    rows = [("1R", f, _OUTPUTS[k], a) for f, row in zip(frequencies, amps) for k, a in enumerate(row)]
     buf = io.StringIO()
-    excitation_csv(rows, buf)
+    excitation_csv((frequencies, s), buf, ("1R",))
     assert buf.getvalue() == oracles.excitation_csv_text(rows)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    n_freqs=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    ports=st.permutations(("1R", "2L", "2R", "1L")).flatmap(
+        lambda order: st.integers(1, 4).map(lambda k: tuple(order[:k]))
+    ),
+    f_first=st.floats(1e3, 1e11),
+)
+def test_excitation_csv_matches_rows_restated_from_the_stack(n_freqs, seed, ports, f_first):
+    frequencies = f_first * (1.0 + 0.01 * np.arange(n_freqs))
+    s = np.full((n_freqs, 8, 8), np.nan, dtype=complex)  # only S[A1..A4, inputs] is read
+    s[:, 4:, :4] = _waves(n_freqs, seed)
+    rows = [
+        (port, f, out, m[4 + k, ("1R", "2L", "2R", "1L").index(port)])
+        for f, m in zip(frequencies, s)
+        for port in ports
+        for k, out in enumerate(_OUTPUTS)
+    ]
+    buf = io.StringIO()
+    excitation_csv((frequencies, s), buf, ports)
+    assert buf.getvalue() == oracles.excitation_csv_text(rows)
+
+
+# --- the slab reader -----------------------------------------------------------
+#
+# A document as wide as the whole text has a ``#`` option line, so its one
+# slab is read line by line: the reader the slabs must reproduce.
+
+_BREAKS = ("\n", "\r", "\r\n", "\f")
+
+
+@st.composite
+def _document(draw):
+    """(lines, port count, slab size) of a well-formed document laid out oddly."""
+    n = draw(st.sampled_from([1, 2]))
+    fmt = draw(st.sampled_from(["RI", "MA", "DB"]))
+    field = st.floats(-300.0, 300.0) | st.sampled_from([0.0, -0.0, 5e-324])
+    tokens = []
+    for k in range(draw(st.integers(1, 12))):
+        tokens.append(repr(1.0 + k))
+        tokens += map(repr, draw(st.lists(field, min_size=2 * n * n, max_size=2 * n * n)))
+    option = draw(st.sampled_from(
+        ["# GHz S {} R 50", "  # MHz S {} R 75", "#GHz S {} R 50", "\t#hz s {} r 33.3 ! options"]
+    ))
+    lines = draw(st.lists(st.sampled_from(["", " ", "! header"]), max_size=3))
+    lines.append(option.format(fmt))
+    while tokens:
+        take = draw(st.integers(1, 4))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        tail = draw(st.sampled_from(["", " ", " ! note", "!note"]))
+        lines.append(lead + " ".join(tokens[:take]) + tail)
+        del tokens[:take]
+        lines += draw(st.lists(st.sampled_from(["", "   ", "! note"]), max_size=1))
+    return lines, n, draw(st.integers(1, 6))
+
+
+def _join(draw, lines):
+    return "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data(), doc=_document())
+def test_slab_reader_matches_entry_by_entry_reader(data, doc):
+    lines, n, slab = doc
+    text = _join(data.draw, lines)
+    want = oracles.touchstone_values(text, n)
+    with mock.patch.object(touchstone, "SLAB", slab):
+        got = touchstone_read(io.StringIO(text), n_ports=n)
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+    assert got[2] == want[2]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    data=st.data(),
+    doc=_document(),
+    fault=st.sampled_from(["zero", "nan", "#x", "# GHz", "1 0 0 0", "! note", "1_0"]),
+    edge=st.integers(0, 4),
+    offset=st.sampled_from([-1, 0, 1]),
+)
+def test_slab_reader_fails_as_the_line_by_line_reader(data, doc, fault, edge, offset):
+    lines, n, slab = doc
+    at = min(max(edge * slab + offset, 0), len(lines))  # a line at or next to a slab edge
+    lines.insert(at, fault)
+    text = _join(data.draw, lines)
+
+    def read(size):
+        with mock.patch.object(touchstone, "SLAB", size):
+            try:
+                return [a.tobytes() for a in touchstone_read(io.StringIO(text), n_ports=n)[:2]]
+            except TouchstoneParseError as e:
+                return str(e)
+
+    assert read(slab) == read(len(text) + 1)
+
+
+H = "# GHz S RI R 50\n"
+
+
+def _records(first, stop):
+    return "".join(f"{k} 0.5 -0.25\n" for k in range(first, stop))
+
+
+# each message and line number as the line by line reader gives them
+MALFORMED = [
+    (H + "1 zero 0\n", 1, "line 2: non-numeric token 'zero'"),
+    ("! a\n" + H + _records(1, 3) + "# MHz S RI R 50\n", 1, "line 5: second option line"),
+    ("# GHz S QQ R 50\n1 0 0\n", 1, "line 1: bad option token 'QQ'"),
+    ("# GHz Y RI R 50\n1 0 0\n", 1, "line 1: unsupported parameter type Y"),
+    ("# GHz S RI R\n1 0 0\n", 1, "line 1: R with no impedance"),
+    ("# GHz S RI R fifty\n1 0 0\n", 1, "line 1: bad impedance 'fifty'"),
+    (H + _records(1, 4) + "4 nan 0\n", 1, "line 5: non-finite value 'nan'"),
+    (H + "1 0 0\n2 0 0\n0.5 0 0\n", 1, "line 4: frequency not ascending (arity mismatch?)"),
+    (H + "0 0 0\n", 1, "line 2: frequency 0.0 is not positive"),
+    (H + "1 0 0 0 0 0\n", 2, "token count 6 is not a multiple of 9 expected for 2 ports"),
+    ("# GHz S DB R 50\n1 1e4 0\n", 1,
+     "line 2: entry overflows in the record starting on this line"),
+    (H + "1 0 0\n1e300 0 0\n", 1, "line 3: frequency 1e+300 overflows once scaled to Hz"),
+    (H + "1 0 0 ! ok\n2 0 0 0\n", 1, "token count 7 is not a multiple of 3 expected for 1 ports"),
+    (H + _records(1, 127) + "127 0.5 x\n", 1, "line 128: non-numeric token 'x'"),
+    (H + _records(1, 128) + "128 0.5 x\n", 1, "line 129: non-numeric token 'x'"),
+    (H + _records(1, 129) + "129 0.5 x\n", 1, "line 130: non-numeric token 'x'"),
+    (H + _records(1, 255) + "255 0.5 -0.25 ! c\n256 zero 0\n", 1,
+     "line 257: non-numeric token 'zero'"),
+    (H + _records(1, 200) + "200 inf 0\n201 zero 0\n", 1, "line 201: non-finite value 'inf'"),
+    (H + _records(1, 200) + "200 0 0 oops\n201 inf 0\n", 1,
+     "line 201: non-numeric token 'oops'"),
+    (H + _records(1, 130) + "# MHz\n", 1, "line 131: second option line"),
+    (H + _records(1, 130) + "130 0.5 #0\n", 1, "line 131: non-numeric token '#0'"),
+    (H + _records(1, 300) + "1_0 0 0\n", 1, "line 301: frequency not ascending (arity mismatch?)"),
+    (H + _records(1, 140) + " x 0 0\n", 1, "line 141: non-numeric token 'x'"),
+    (H + _records(1, 140).replace("\n", "\r\n") + "140 0 0\r\n139 0 0\f", 1,
+     "line 142: frequency not ascending (arity mismatch?)"),
+    (H + _records(1, 133) + "133 0.5", 1,
+     "token count 398 is not a multiple of 3 expected for 1 ports"),
+]
+
+
+@pytest.mark.parametrize("slab", [1, 2, 3, touchstone.SLAB])
+@pytest.mark.parametrize("text, n, message", MALFORMED, ids=[m for _, _, m in MALFORMED])
+def test_malformed_documents_keep_their_message_and_line(text, n, message, slab):
+    with mock.patch.object(touchstone, "SLAB", slab):
+        with pytest.raises(TouchstoneParseError) as e:
+            touchstone_read(io.StringIO(text), n_ports=n)
+    assert str(e.value) == message
+
+
+def test_reading_a_long_sweep_stays_small(tmp_path):
+    from butlercad import build_butler_4x4, interconnect
+
+    frequencies = np.linspace(1e9, 10e9, 1001)
+    path = tmp_path / "sweep.s8p"
+    touchstone_write(frequencies, interconnect(build_butler_4x4("ideal", 5.2e9), frequencies),
+                     "DB", path)
+    touchstone_read(path)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        touchstone_read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the line by line reader peaks at 6.72 MB on this file
+    assert peak <= 6.72e6
