@@ -80,6 +80,19 @@ def _one_of(*choices: str) -> Callable[[object], str]:
     return convert
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise CliError(f"must be a finite number, got {value!r}")
+    return x
+
+
+def _whole(value) -> int:
+    if isinstance(value, float) and not value.is_integer():  # int() would truncate it
+        raise CliError(f"must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _positive_finite(value) -> float:
     x = float(value)
     if not (math.isfinite(x) and x > 0):
@@ -127,7 +140,7 @@ FIDELITY = Flag(
     "component models: ideal|circuit",
 )
 # required by design and by circuit fidelity; see _substrate
-ER = Flag("er", float, None, "substrate relative permittivity (design, circuit)")
+ER = Flag("er", _finite, None, "substrate relative permittivity (design, circuit)")
 H = Flag("h", parse_length, None, "substrate height, e.g. 1.6mm (design, circuit)")
 FORMAT = Flag("format", _one_of(*FORMATS), "RI", "touchstone format RI|MA|DB")
 UNIT = Flag("unit", _one_of(*UNITS), "GHz", "touchstone frequency unit")
@@ -187,6 +200,10 @@ def _merge(args: argparse.Namespace) -> SimpleNamespace:
         raw = getattr(args, attr)
         if raw is None:
             raw = scenario.get(flag.name)
+            if isinstance(raw, (bool, list, dict)):
+                raise CliError(
+                    f"--{flag.name}: scenario value {raw!r} is not a number or a string"
+                )
         if raw is not None:
             try:
                 values[attr] = flag.convert(raw)
@@ -234,6 +251,8 @@ def _cmd_butler(v: SimpleNamespace) -> int:
         raise CliError("sweep needs f_start < f_stop")
     if v.n_points < 2:
         raise CliError("sweep needs at least 2 points")
+    if v.n_points > sys.maxsize // 1024:  # 1024 bytes per point in the (F, 8, 8) stack
+        raise CliError(f"a sweep of {v.n_points:.6g} points is beyond any array's size")
     net = _butler_net(v)
     frequencies = np.linspace(v.f_start, v.f_stop, v.n_points)
     s = interconnect(net, frequencies)
@@ -293,7 +312,7 @@ COMMANDS = {
         Flag("freq", parse_frequency, REQUIRED, "design frequency, e.g. 5.2GHz"),
         ER,
         H,
-        Flag("edge-resistance", float, antenna.EDGE_RESISTANCE_REFERENCE,
+        Flag("edge-resistance", _finite, antenna.EDGE_RESISTANCE_REFERENCE,
              "patch edge resistance, ohm"),
         Flag("json-out", str, None, "also write the JSON report to this path"),
         OUTDIR,
@@ -303,7 +322,7 @@ COMMANDS = {
         F0,
         Flag("f-start", parse_frequency, REQUIRED, "sweep start"),
         Flag("f-stop", parse_frequency, REQUIRED, "sweep stop"),
-        Flag("n-points", int, REQUIRED, "sweep point count"),
+        Flag("n-points", _whole, REQUIRED, "sweep point count"),
         ER,
         H,
         Flag("ports", _input_ports, butler.INPUT_PORT_NAMES,
@@ -333,7 +352,7 @@ COMMANDS = {
         Flag("destination", str, ARGUMENT, "touchstone file to write"),
         FORMAT,
         UNIT,
-        Flag("ports", int, None, "port count when the extension is not .sNp"),
+        Flag("ports", _whole, None, "port count when the extension is not .sNp"),
         OUTDIR,
     )),
 }
@@ -343,8 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.run(_merge(args))
-    except (ButlerCadError, ValueError, OSError) as e:
-        print(f"butlercad: error: {e}", file=sys.stderr)
+    except (ButlerCadError, ValueError, OSError, MemoryError) as e:
+        print(f"butlercad: error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import antenna, butler, microstrip
 from .microstrip import MicrostripLineSpec, Substrate
 from .sparams import FIDELITY_IDEAL
-from .touchstone import polar
+from .touchstone import bake, polar
 
 
 @dataclass(frozen=True)
@@ -167,19 +167,25 @@ def excitation_csv(
 
     ``sweep`` is the ``(F,)`` frequencies with their ``(F, 8, 8)`` stack.
     Rows run by frequency, then input port in ``ports`` order, then A1..A4.
+    A field that holds one bit pattern over the whole sweep is formatted
+    once into the template of a frequency's rows (``touchstone.bake``).
     """
     frequencies, s = sweep
     cols = [butler.INPUT_PORT_NAMES.index(port) for port in ports]
     mag_db, phase = polar(s[:, 4:, cols].transpose(0, 2, 1), db=True)
     records = np.stack((mag_db, phase), axis=-1).reshape(len(s), 8 * len(cols))
+    fields, varying = bake(records, ["%.9g"] * records.shape[1])
+    rows = iter(fields)
     # one frequency's rows as one template, cut where its frequency goes
     pieces = "".join(
-        f"{port},\0,{out},%.9g,%.9g\n" for port in ports for out in butler.OUTPUT_PORT_NAMES
+        f"{port},\0,{out},{next(rows)},{next(rows)}\n"
+        for port in ports
+        for out in butler.OUTPUT_PORT_NAMES
     ).split("\0")
     stream.write("input_port,frequency_hz,output_port,magnitude_db,phase_deg\n")
     stream.writelines(
-        ("%.9g" % f).join(pieces) % tuple(row)
-        for f, row in zip(frequencies.tolist(), records.tolist())
+        ("%.9g" % f).join(pieces) % tuple(row.tolist())
+        for f, row in zip(frequencies.tolist(), varying)
     )
 
 

@@ -26,11 +26,16 @@ keeping identical inputs byte-identical.
 
 Both sides work on whole arrays.  The writer lays a sweep out as one
 ``(F, 1 + 2 n**2)`` float array of records in file order and prints each with
-one ``%`` template.  The reader gathers all numbers in one ``array('d')``,
-taking the lines in slabs of ``SLAB``: a slab with no ``!`` and no ``#`` is
-joined, split once and converted with ``float``; any other slab, and one
-whose conversion fails, is read line by line, so every message and line
-number is the line by line reader's.  ``float`` is the one number parser
+one ``%`` template.  A field that keeps one bit pattern over the sweep is
+formatted once into that template (``bake``): an ideal Butler holds 96 of
+its 128 data fields fixed in every format, so only the other 32 and the
+frequency are formatted per record.  A file name whose ``.sNp`` extension
+names another port count is refused, as the reader would take the count
+from it.  The reader gathers all numbers in one ``array('d')``, taking the
+lines in slabs of ``SLAB``: a slab with no ``!`` and no ``#`` is joined,
+split once and converted with ``float``; any other slab, and one whose
+conversion fails, is read line by line, so every message and line number
+is the line by line reader's.  ``float`` is the one number parser
 (it takes ``1_0``, which numpy's text parsers refuse), and no token list
 of the whole text is built.  The bytes equal those of per-entry Python
 arithmetic because:
@@ -97,9 +102,32 @@ def polar(z: np.ndarray, db: bool) -> tuple[np.ndarray, np.ndarray]:
     return mag.reshape(z.shape), np.degrees(np.angle(z))
 
 
-def _entry_order(n: int) -> list[int]:
-    """Row-major indices of the flattened matrix, in file order, for ``n`` ports."""
-    return [0, 2, 1, 3] if n == 2 else list(range(n * n))
+def bake(records: np.ndarray, specs: list[str]) -> tuple[list[str], np.ndarray]:
+    """Template fields for the ``(F, k)`` float ``records``, sweep-constant ones formatted.
+
+    A column whose bits equal row 0's in every row (so ``-0.0`` is not
+    ``0.0``) has its field printed once, ``spec % value``; every other field
+    keeps its ``%`` spec.  Returns the fields, one per column, and the
+    records of the columns left to print.
+    """
+    if not len(records):  # an empty sweep prints no record
+        return list(specs), records
+    bits = records.view(np.int64)
+    fixed = (bits == bits[0]).all(axis=0)
+    fields = [
+        spec % value if constant else spec
+        for spec, value, constant in zip(specs, records[0].tolist(), fixed.tolist())
+    ]
+    return fields, records[:, ~fixed]
+
+
+def _entry_order(n: int) -> list[int] | slice:
+    """Row-major indices of the flattened matrix, in file order, for ``n`` ports.
+
+    Every order but the two-port one is row-major itself, so it is a slice
+    and indexing with it takes a view, not a copy.
+    """
+    return [0, 2, 1, 3] if n == 2 else slice(None)
 
 
 def content_hash(frequencies: np.ndarray, s: np.ndarray) -> str:
@@ -142,8 +170,13 @@ def touchstone_write(
         )
     if not (0 < z_ref < math.inf and np.isfinite(frequencies).all() and np.isfinite(s).all()):
         raise TouchstoneError("non-finite frequency or entry, or z_ref not in (0, inf)")
-
     n_ports = s.shape[1]
+    m = _EXT_RE.search(str(getattr(destination, "name", destination)))
+    if m and int(m.group(1)) != n_ports:  # the reader takes the port count from it
+        raise TouchstoneError(
+            f"extension says {int(m.group(1))} ports but the sweep has {n_ports}"
+        )
+
     n_fields = 2 * n_ports * n_ports
     entries = s.reshape(len(s), -1)[:, _entry_order(n_ports)]
     if fmt == "RI":
@@ -158,13 +191,17 @@ def touchstone_write(
     records[:, 1::2] = first
     records[:, 2::2] = second
 
-    # from three ports up each matrix row starts a line; 1- and 2-port data
-    # share one; four pairs at most per line.  9 digits are short of the 1e-9
-    # round-trip budget for angles in degrees and for dB values, so data
-    # fields carry 12
+    # 9 digits are short of the 1e-9 round-trip budget for angles in degrees
+    # and for dB values, so data fields carry 12.  From three ports up each
+    # matrix row starts a line; 1- and 2-port data share one; four pairs at
+    # most per line
+    (head, *fields), varying = bake(records, ["%.9g"] + ["%.12g"] * n_fields)
     width = 2 * n_ports if n_ports > 2 else n_fields
-    matrix_row = "\n  ".join(" ".join(["%.12g"] * min(8, width - c)) for c in range(0, width, 8))
-    template = "%.9g " + "\n  ".join([matrix_row] * (n_fields // width)) + "\n"
+    template = head + " " + "\n  ".join(
+        " ".join(fields[c : min(c + 8, r + width)])
+        for r in range(0, n_fields, width)
+        for c in range(r, r + width, 8)
+    ) + "\n"
     header = (
         f"! butlercad {__version__} {n_ports}-port S-parameter export\n"
         f"! content-hash {content_hash(frequencies, s)}\n"
@@ -176,7 +213,7 @@ def touchstone_write(
         else open(destination, "w", encoding="ascii")
     ) as out:
         out.write(header)
-        out.writelines(template % tuple(row.tolist()) for row in records)
+        out.writelines(template % tuple(row.tolist()) for row in varying)
 
 
 def _content_lines(lines: list[str], start: int = 1) -> Iterator[tuple[int, str]]:

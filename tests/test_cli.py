@@ -16,7 +16,7 @@ from butlercad.beams import array_factor, default_angle_grid, half_wave_geometry
 from butlercad.butler import build_butler_4x4, excitation_table
 from butlercad.cli import CliError, main, parse_frequency, parse_length
 from butlercad.errors import TouchstoneError
-from butlercad.touchstone import touchstone_read
+from butlercad.touchstone import touchstone_read, touchstone_write
 
 DESIGN_ARGS = ["design", "--freq", "5.2GHz", "--er", "4.9", "--h", "1.6mm"]
 
@@ -169,7 +169,9 @@ class TestScenario:
         assert repr(next(iter(doc))) in err and "butler" in err
         assert not (tmp_path / "butler_ideal.s8p").exists()
 
-    @pytest.mark.parametrize("doc", [{"er": [4.9]}, {"er": {"value": 4.9}}])
+    @pytest.mark.parametrize(
+        "doc", [{"er": [4.9]}, {"er": {"value": 4.9}}, {"er": True}, {"er": False}]
+    )
     def test_value_of_wrong_type_is_one_line(self, tmp_path, capsys, doc):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({"freq": "5.2GHz", "h": "1.6mm", **doc}))
@@ -177,6 +179,20 @@ class TestScenario:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and err.startswith("butlercad: error: --er")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["butler", "--fidelity", "ideal", "--f0", "5.2GHz", "--f-start", "5GHz",
+          "--f-stop", "5.4GHz", "--n-points", "3", "--er", "nan"],
+         "--er: must be a finite number, got 'nan'"),
+        (DESIGN_ARGS + ["--er=-inf"], "--er: must be a finite number, got '-inf'"),
+        (DESIGN_ARGS + ["--edge-resistance", "inf"],
+         "--edge-resistance: must be a finite number, got 'inf'"),
+    ], ids=["unused-er", "er", "edge-resistance"])
+    def test_non_finite_number_is_one_line(self, tmp_path, capsys, argv, message):
+        rc = main(argv + ["--outdir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"butlercad: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_scenario(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
@@ -290,6 +306,44 @@ class TestButlerCommand:
         assert captured.err.count("\n") == 1
         assert "strictly ascending at 9 digits in GHz" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 745. GiB for an array with shape (100000000000,) "
+        "and data type float64",
+        "",
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch, message):
+        def allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, "linspace", allocate)  # nothing is allocated for real
+        rc = main(
+            ["butler", "--fidelity", "ideal", "--f0", "5.2GHz", "--f-start", "5GHz",
+             "--f-stop", "5.4GHz", "--n-points", "100000000000", "--outdir", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"butlercad: error: {message or 'MemoryError'}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_points, message", [
+        ("9223372036854775808", "a sweep of 9.22337e+18 points is beyond any array's size"),
+        (1e300, "a sweep of 1e+300 points is beyond any array's size"),
+        (4.9, "--n-points: must be a whole number, got 4.9"),
+        (True, "--n-points: scenario value True is not a number or a string"),
+    ], ids=["past-int64", "json-1e300", "json-fraction", "json-bool"])
+    def test_point_count_no_array_holds_is_one_line(self, tmp_path, capsys, n_points, message):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({"n-points": n_points}))
+        rc = main(
+            ["butler", "--fidelity", "ideal", "--f0", "5.2GHz", "--f-start", "5GHz",
+             "--f-stop", "5.4GHz", "--scenario", str(scen), "--outdir", str(tmp_path / "out")]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"butlercad: error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_sweep_rejected(self, capsys):
         rc = main(
@@ -460,6 +514,19 @@ class TestTouchstoneConvert:
         freqs, s, _ = touchstone_read(dst)
         assert freqs[0] == pytest.approx(1e9)
         assert s[0, 0, 0] == pytest.approx(0.25 - 0.5j, abs=1e-9)
+
+    def test_destination_naming_another_port_count_is_one_line(self, tmp_path, capsys):
+        src = tmp_path / "in.s8p"
+        frequencies = np.array([5e9, 5.2e9])
+        touchstone_write(frequencies, np.zeros((2, 8, 8)), "RI", src)
+        rc = main(["touchstone", "convert", str(src), "out.s4p", "--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "butlercad: error: extension says 4 ports but the sweep has 8\n"
+        )
+        assert not (tmp_path / "out.s4p").exists()
 
     def test_missing_file_single_line(self, capsys, tmp_path):
         rc = main(["touchstone", "convert", str(tmp_path / "no.s1p"),

@@ -128,6 +128,19 @@ class TestWriting:
         with pytest.raises(TouchstoneError, match=f"overflows in {fmt}"):
             touchstone_write([1e9], np.full((1, 1, 1), 1.7e308 + 1.7e308j), fmt, io.StringIO())
 
+    @pytest.mark.parametrize("name", ["out.s4p", "OUT.S10P", "out.s04p"])
+    def test_rejects_a_file_name_naming_another_port_count(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(TouchstoneError, match=r"says \d+ ports but the sweep has 8"):
+            touchstone_write([1e9], np.zeros((1, 8, 8)), "RI", path)
+        assert not path.exists()
+        with open(tmp_path / "stream.s2p", "w", encoding="ascii") as stream:
+            with pytest.raises(TouchstoneError, match="says 2 ports but the sweep has 1"):
+                touchstone_write([1e9], np.zeros((1, 1, 1)), "RI", stream)
+        for ok in ("out.s8p", "OUT.S8P", "out.s08p", "out.txt"):  # each reads back as 8 ports
+            touchstone_write([1e9], np.zeros((1, 8, 8)), "RI", tmp_path / ok)
+            assert touchstone_read(tmp_path / ok, n_ports=8)[1].shape == (1, 8, 8)
+
     def test_deterministic_bytes(self):
         freqs, s = _random_sweep(3, 4)
         a, b = io.StringIO(), io.StringIO()
@@ -438,6 +451,100 @@ def test_excitation_csv_matches_rows_restated_from_the_stack(n_freqs, seed, port
     assert buf.getvalue() == oracles.excitation_csv_text(rows)
 
 
+# --- sweep-constant fields ----------------------------------------------------
+#
+# The writers format a field that keeps one bit pattern over the sweep once,
+# so the draws hold columns that repeat row 0 exactly, ones that differ from
+# it in one row only, and zero columns with one -0.0.
+
+# a column's mode: 0 keeps it as drawn, 1 repeats row 0, and
+_ONE_ROW_DIFFERS, _ZERO_BUT_ONE_NEGATIVE = 2, 3
+
+
+@st.composite
+def _repeating_parts(draw, n_freqs, n_entries):
+    """(2, F, n_entries) real and imaginary parts, random columns repeating row 0."""
+    parts = draw(arrays(float, (2, n_freqs, n_entries), elements=_PART))
+    modes = draw(arrays(np.int8, (2, n_entries), elements=st.integers(0, 3)))
+    if not n_freqs:
+        return parts
+    rows = draw(arrays(np.intp, (2, n_entries), elements=st.integers(0, n_freqs - 1)))
+    for part, entry in zip(*np.nonzero(modes)):
+        column = parts[part, :, entry]
+        mode, row = modes[part, entry], rows[part, entry]
+        if mode == _ZERO_BUT_ONE_NEGATIVE:
+            column[:] = 0.0
+            column[row] = -0.0
+        else:
+            odd = column[row]
+            column[:] = column[0]
+            if mode == _ONE_ROW_DIFFERS and row:
+                column[row] = odd if odd != column[0] else np.nextafter(odd, np.inf)
+    return parts
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    z = np.empty(parts.shape[1:], dtype=complex)
+    z.real, z.imag = parts  # keeps -0.0, which parts[0] + 1j * parts[1] would not
+    return z
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    data=st.data(),
+    n=st.sampled_from([1, 2, 3, 8]),
+    n_freqs=st.integers(1, 4),
+    f_first=st.floats(1e3, 1e11),
+    fmt=st.sampled_from(["RI", "MA", "DB"]),
+    unit=st.sampled_from(["Hz", "kHz", "MHz", "GHz"]),
+)
+def test_touchstone_with_sweep_constant_fields_matches_entry_by_entry(
+    data, n, n_freqs, f_first, fmt, unit
+):
+    freqs = f_first * (1.0 + 0.01 * np.arange(n_freqs))
+    s = _complex(data.draw(_repeating_parts(n_freqs, n * n))).reshape(n_freqs, n, n)
+    buf = io.StringIO()
+    touchstone_write(freqs, s, fmt, buf, unit=unit)
+    assert buf.getvalue() == oracles.touchstone_text(freqs, s, fmt, unit, 50.0, __version__)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    data=st.data(),
+    n_freqs=st.integers(0, 4),
+    ports=st.permutations(("1R", "2L", "2R", "1L")).flatmap(
+        lambda order: st.integers(1, 4).map(lambda k: tuple(order[:k]))
+    ),
+    f_first=st.floats(1e3, 1e11),
+)
+def test_excitation_csv_with_sweep_constant_fields_matches_entry_by_entry(
+    data, n_freqs, ports, f_first
+):
+    frequencies = f_first * (1.0 + 0.01 * np.arange(n_freqs))
+    s = np.full((n_freqs, 8, 8), np.nan, dtype=complex)  # only S[A1..A4, inputs] is read
+    s[:, 4:, :4] = _complex(data.draw(_repeating_parts(n_freqs, 16))).reshape(n_freqs, 4, 4)
+    rows = [
+        (port, f, out, m[4 + k, ("1R", "2L", "2R", "1L").index(port)])
+        for f, m in zip(frequencies, s)
+        for port in ports
+        for k, out in enumerate(_OUTPUTS)
+    ]
+    buf = io.StringIO()
+    excitation_csv((frequencies, s), buf, ports)
+    assert buf.getvalue() == oracles.excitation_csv_text(rows)
+
+
+def test_sweep_constant_columns_are_found_by_their_bits():
+    records = np.array([[1.0, 0.0, 2.0, 5.0], [1.0, -0.0, 3.0, 5.0], [1.0, 0.0, 4.0, 5.0]])
+    fields, varying = touchstone.bake(records, ["%.9g", "%.9g", "%.3f", "%.12g"])
+    assert fields == ["1", "%.9g", "%.3f", "5"]
+    assert varying.tobytes() == records[:, 1:3].tobytes()
+    fields, varying = touchstone.bake(records[:1], ["%.9g", "%.9g", "%.3f", "%.12g"])
+    assert fields == ["1", "0", "2.000", "5"] and varying.shape == (1, 0)
+    fields, varying = touchstone.bake(records[:0], ["%.9g"] * 4)
+    assert fields == ["%.9g"] * 4 and varying.shape == (0, 4)
+
+
 # --- the slab reader -----------------------------------------------------------
 #
 # A document as wide as the whole text has a ``#`` option line, so its one
@@ -578,3 +685,21 @@ def test_reading_a_long_sweep_stays_small(tmp_path):
         tracemalloc.stop()
     # the line by line reader peaks at 6.72 MB on this file
     assert peak <= 6.72e6
+
+
+def test_writing_a_long_ideal_sweep_stays_small(tmp_path):
+    from butlercad import build_butler_4x4, interconnect
+
+    frequencies = np.linspace(1e9, 10e9, 1001)
+    s = interconnect(build_butler_4x4("ideal", 5.2e9), frequencies)
+    path = tmp_path / "sweep.s8p"
+    touchstone_write(frequencies, s, "MA", path)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        touchstone_write(frequencies, s, "MA", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a writer that prints every field of every record peaks at 3.13 MB on
+    # this sweep; formatting all records at once would take far more
+    assert peak <= 3.13e6
