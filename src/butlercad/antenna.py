@@ -67,6 +67,11 @@ def design_patch(fr: float, substrate: Substrate) -> PatchDims:
     u = width / h
     delta_l = 0.412 * h * (eps + 0.3) * (u + 0.264) / ((eps - 0.258) * (u + 0.8))
     length = C0 / (2.0 * fr * math.sqrt(eps)) - 2.0 * delta_l
+    if not (math.isfinite(delta_l) and math.isfinite(length)):  # W/h overflowed
+        raise DesignRangeError(
+            f"patch fringing extension dL/h = 0.412 (eps + 0.3)(W/h + 0.264) / "
+            f"[(eps - 0.258)(W/h + 0.8)] is not finite at h = {float(h)!r} m"
+        )
     if length <= 0.0:
         raise DesignRangeError(
             f"patch length went non-positive at fr = {fr:g} Hz on this substrate"

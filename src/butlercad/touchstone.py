@@ -32,13 +32,19 @@ its 128 data fields fixed in every format, so only the other 32 and the
 frequency are formatted per record.  A file name whose ``.sNp`` extension
 names another port count is refused, as the reader would take the count
 from it.  The reader gathers all numbers in one ``array('d')``, taking the
-lines in slabs of ``SLAB``: a slab with no ``!`` and no ``#`` is joined,
-split once and converted with ``float``; any other slab, and one whose
-conversion fails, is read line by line, so every message and line number
-is the line by line reader's.  ``float`` is the one number parser
-(it takes ``1_0``, which numpy's text parsers refuse), and no token list
-of the whole text is built.  The bytes equal those of per-entry Python
-arithmetic because:
+lines in slabs of ``SLAB``: each slab is joined and read at once by
+``np.fromstring(joined, sep=" ")``, which reads a finite double as ``float``
+does, bit for bit.  A slab numpy refuses (a comment, an option line, a
+token such as ``1_0`` it does not take whole), one of blanks alone (numpy
+reads it as ``[-1.]``) and one holding a non-finite value (numpy takes
+``nan(1)``, which ``float`` refuses) is read line by line with ``float``, so
+every message and line number is the line by line reader's
+(``tests/test_float_contract.py`` pins each of these numpy rules).  No
+token list is built.  Both sides convert each sweep-constant entry once:
+``polar`` and the reader's MA/DB decode compute an entry (on the reader's
+side, a field) whose bits equal row 0's in every row from row 0 alone; 48
+of the 64 entries of an ideal Butler are sweep-constant.  The bytes equal
+those of per-entry Python arithmetic because:
 
 * magnitudes are ``np.hypot``, which equals ``abs`` of a complex
   (``np.abs`` differs in the last bit);
@@ -46,7 +52,8 @@ arithmetic because:
   floats (``np.log10`` and ``np.power`` round differently, and a numpy
   power overflows to inf instead of raising ``OverflowError``);
 * ``np.degrees``, ``np.angle``, ``np.radians``, ``np.cos`` and ``np.sin``
-  equal their scalar counterparts;
+  equal their scalar counterparts, so an entry's result does not depend
+  on where in an array it sits;
 * an MA or DB entry decodes to ``(a*c - 0.0*s) + (a*s + 0.0*c)j``, the
   parts CPython computes for ``a * complex(c, s)``, signed zeros included.
 """
@@ -73,33 +80,73 @@ FORMATS = ("RI", "MA", "DB")
 
 _EXT_RE = re.compile(r"\.s(\d+)p$", re.IGNORECASE)
 
-# Lines the reader splits at once (see _slabs).  _parse of a 1001-point
+# Lines the reader joins at once (see _slabs).  _parse of a 1001-point
 # 8-port MA file (16,019 lines), best and median of 40 interleaved calls,
-# and its tracemalloc peak (Python 3.11, 2 vCPUs, shared host):
+# and its tracemalloc peak (Python 3.11, numpy 2.4.6, 2 vCPUs, shared host):
 #
 #   SLAB        best ms  median ms  peak MB
-#   16            20.0      29.2      2.52
-#   64            18.0      26.3      2.54
-#   128           17.9      26.9      2.56
-#   512           18.1      26.6      2.68
-#   4096          22.4      32.8      3.73
-#   whole file    29.9      49.6      3.22   (line by line: the file has '#')
+#   16            17.4      24.1      2.55
+#   64            14.9      20.2      2.59
+#   128           14.5      20.1      2.59
+#   256           14.3      19.8      2.62
+#   512           14.5      20.8      2.65
+#   4096          17.8      26.2      3.09
+#   whole file    29.0      41.0      2.65   (line by line: the file has '#')
 SLAB = 128
+
+
+def _varying(*parts: np.ndarray) -> np.ndarray:
+    """Mask of the entries (all axes but the first) whose bits differ from row 0's.
+
+    An entry is varying when it does so in any one of the same-shaped
+    float ``parts``; bits, so ``-0.0`` is not ``0.0``.
+    """
+    mask = np.zeros(parts[0].shape[1:], dtype=bool)
+    for part in parts:
+        bits = part.view(np.int64)
+        mask |= (bits[1:] != bits[:1]).any(axis=0)
+    return mask
+
+
+def _gather(x: np.ndarray, varying: np.ndarray) -> np.ndarray:
+    """Row 0 of ``x``, then the ``varying`` entries of each later row, flat."""
+    if varying.all():  # every entry in order: ``x`` itself, not a copy
+        return x.ravel()
+    return np.concatenate((x[:1].ravel(), x[1:, varying].ravel()))
+
+
+def _spread(values: np.ndarray, varying: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The float array of ``shape`` that ``_gather`` took ``values`` from.
+
+    Every entry that is not ``varying`` repeats row 0.
+    """
+    if values.size == math.prod(shape):  # every entry was gathered, in order
+        return values.reshape(shape)
+    out = np.empty(shape)
+    head = out[:1]
+    head[...] = values[: head.size].reshape(head.shape)
+    out[1:] = head
+    out[1:, varying] = values[head.size :].reshape(len(out[1:]), np.count_nonzero(varying))
+    return out
 
 
 def polar(z: np.ndarray, db: bool) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude (linear, or dB floored at 1e-300) and phase in degrees of each entry.
 
-    Bit-identical to ``abs(v)``, ``20 * math.log10(max(abs(v), 1e-300))`` and
+    ``z`` is a sweep: axis 0 runs over frequency.  Bit-identical to
+    ``abs(v)``, ``20 * math.log10(max(abs(v), 1e-300))`` and
     ``math.degrees(np.angle(v))`` per entry; a magnitude too large for a
-    float is inf.
+    float is inf.  An entry whose bits equal row 0's in every row is
+    converted once, from row 0.
     """
+    varying = _varying(z.real, z.imag)
+    todo = _gather(z, varying)
     with np.errstate(over="ignore"):
-        mag = np.hypot(z.real, z.imag)
+        mag = np.hypot(todo.real, todo.imag)
     if db:
-        floored = np.maximum(mag, 1e-300).ravel()
+        floored = np.maximum(mag, 1e-300)
         mag = 20.0 * np.fromiter(map(math.log10, memoryview(floored)), float, floored.size)
-    return mag.reshape(z.shape), np.degrees(np.angle(z))
+    return _spread(mag, varying, z.shape), _spread(np.degrees(np.angle(todo)), varying, z.shape)
 
 
 def bake(records: np.ndarray, specs: list[str]) -> tuple[list[str], np.ndarray]:
@@ -112,13 +159,12 @@ def bake(records: np.ndarray, specs: list[str]) -> tuple[list[str], np.ndarray]:
     """
     if not len(records):  # an empty sweep prints no record
         return list(specs), records
-    bits = records.view(np.int64)
-    fixed = (bits == bits[0]).all(axis=0)
+    varying = _varying(records)
     fields = [
-        spec % value if constant else spec
-        for spec, value, constant in zip(specs, records[0].tolist(), fixed.tolist())
+        spec if differs else spec % value
+        for spec, value, differs in zip(specs, records[0].tolist(), varying.tolist())
     ]
-    return fields, records[:, ~fixed]
+    return fields, records[:, varying]
 
 
 def _entry_order(n: int) -> list[int] | slice:
@@ -235,25 +281,36 @@ def _locate(text: str, index: int) -> tuple[int, str]:
     raise IndexError(index)
 
 
+def _numbers(joined: str) -> np.ndarray | None:
+    """The numbers of a slab as numpy reads them, or None where ``float`` must.
+
+    None for blanks alone (numpy reads ``[-1.]``), for a slab numpy refuses
+    and for one holding a non-finite value (numpy takes ``nan(1)``).
+    """
+    if joined.isspace():
+        return None
+    try:
+        numbers = np.fromstring(joined, sep=" ")
+    except ValueError:
+        return None
+    return numbers if np.isfinite(numbers).all() else None
+
+
 def _slabs(text: str, values: array) -> Iterator[tuple[int, str]]:
     """Append the numbers of each plain slab of ``text`` to ``values``.
 
-    A slab is ``SLAB`` lines.  One with no ``!``, no ``#`` and only numbers
-    is split once; the content lines of any other are yielded, numbered,
-    for the caller to read one by one.
+    A slab is ``SLAB`` lines, joined and read by numpy at once; the content
+    lines of one it cannot take (``_numbers``) are yielded, numbered, for
+    the caller to read one by one.
     """
     lines = text.splitlines()
     for start in range(0, len(lines), SLAB):
         slab = lines[start : start + SLAB]
-        joined = " ".join(slab)
-        if "!" not in joined and "#" not in joined:
-            size = len(values)
-            try:
-                values.extend(map(float, joined.split()))
-                continue
-            except ValueError:  # the line by line pass names the token
-                del values[size:]
-        yield from _content_lines(slab, start + 1)
+        numbers = _numbers(" ".join(slab))
+        if numbers is None:
+            yield from _content_lines(slab, start + 1)
+        else:
+            values.frombytes(numbers.tobytes())
 
 
 def _parse(text: str, values: array) -> tuple[float, str, float]:
@@ -358,16 +415,21 @@ def touchstone_read(
     stop = int(np.argmax(bad)) if bad.any() else len(records)
     a, b = records[:stop, 1::2], records[:stop, 2::2]
     if fmt == "DB":
-        exponents = (a / 20.0).ravel()
+        varying = _varying(a)
+        exponents = _gather(a, varying) / 20.0
         pending = iter(memoryview(exponents))
         try:
-            a = np.fromiter(map(pow, repeat(10.0), pending), float, b.size).reshape(b.shape)
+            magnitudes = np.fromiter(map(pow, repeat(10.0), pending), float, exponents.size)
         except OverflowError:  # a DB magnitude above about 6165 dB
-            entry = exponents.size - 1 - sum(1 for _ in pending)
+            # row 0 is gathered whole and first, so the first failure is in
+            # the earliest record holding one
+            entry = exponents.size - 1 - sum(1 for _ in pending) - n * n
+            record = 0 if entry < 0 else 1 + entry // np.count_nonzero(varying)
             raise TouchstoneParseError(
                 "entry overflows in the record starting on this line",
-                _locate(text, entry // (n * n) * block)[0],
+                _locate(text, record * block)[0],
             ) from None
+        a = _spread(magnitudes, varying, a.shape)
     if stop < len(records):
         lineno = _locate(text, stop * block)[0]
         f = float(records[stop, 0])
@@ -382,8 +444,9 @@ def touchstone_read(
     if fmt == "RI":
         s.real[:, order], s.imag[:, order] = a, b
     else:
-        radians = np.radians(b)
-        cos, sin = np.cos(radians), np.sin(radians)
+        varying = _varying(b)
+        radians = np.radians(_gather(b, varying))
+        cos, sin = (_spread(f(radians), varying, b.shape) for f in (np.cos, np.sin))
         # the parts of a * complex(cos, sin) as CPython multiplies them
         s.real[:, order] = a * cos - 0.0 * sin
         s.imag[:, order] = a * sin + 0.0 * cos

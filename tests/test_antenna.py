@@ -55,6 +55,11 @@ class TestDesignPatch:
         with pytest.raises(DesignRangeError):
             design_patch(100e9, Substrate(10.0, 5e-3))
 
+    def test_height_overflowing_the_fringing_formula_is_named(self):
+        # W/h overflows, so dL is inf * h / inf = nan and so is the length
+        with pytest.raises(DesignRangeError, match=r"dL/h = 0\.412 .* at h = 5e-324 m$"):
+            design_patch(5.2e9, Substrate(4.9, 5e-324))
+
 
 class TestInsetPosition:
     def test_edge_feed_when_already_matched(self):

@@ -130,6 +130,18 @@ class TestDesignCommand:
         assert captured.err.count("\n") == 1
         assert "patch" in captured.err
 
+    def test_height_overflowing_the_fringing_formula_is_one_line(self, tmp_path, capsys):
+        rc = main(["design", "--freq", "5.2GHz", "--er", "4.9", "--h", "5e-324",
+                   "--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "butlercad: error: patch fringing extension dL/h = 0.412 (eps + 0.3)(W/h + 0.264)"
+            " / [(eps - 0.258)(W/h + 0.8)] is not finite at h = 5e-324 m\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScenario:
     def test_scenario_supplies_flags(self, tmp_path, capsys):

@@ -545,6 +545,81 @@ def test_sweep_constant_columns_are_found_by_their_bits():
     assert fields == ["%.9g"] * 4 and varying.shape == (0, 4)
 
 
+
+@st.composite
+def _repeating_entries(draw, n_freqs, n_entries):
+    """(F, n_entries) entries: the parts of ``_repeating_parts``, and a random
+    subset of whole entries repeating row 0 bit for bit."""
+    parts = draw(_repeating_parts(n_freqs, n_entries))
+    repeat = draw(arrays(bool, n_entries))
+    parts[:, :, repeat] = parts[:, :1, repeat]
+    return _complex(parts)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    data=st.data(),
+    n=st.sampled_from([1, 2, 3, 8]),
+    n_freqs=st.integers(0, 2),
+    f_first=st.floats(1e3, 1e11),
+    fmt=st.sampled_from(["RI", "MA", "DB"]),
+    unit=st.sampled_from(["Hz", "kHz", "MHz", "GHz"]),
+)
+def test_sweep_constant_entries_convert_as_entry_by_entry(data, n, n_freqs, f_first, fmt, unit):
+    freqs = f_first * (1.0 + 0.01 * np.arange(n_freqs))
+    s = data.draw(_repeating_entries(n_freqs, n * n)).reshape(n_freqs, n, n)
+    if fmt != "RI":  # each entry's fields at full precision
+        pairs = [oracles.touchstone_pair(v, fmt) for v in s.ravel().tolist()]
+        fields = np.array(pairs, dtype=float).reshape(-1, 2)
+        mag, angle = polar(s, db=fmt == "DB")
+        assert mag.shape == angle.shape == s.shape
+        assert mag.tobytes() == fields[:, 0].tobytes()
+        assert angle.tobytes() == fields[:, 1].tobytes()
+    if n == 8:
+        rows = [
+            (port, f, out, m[4 + k, ("1R", "2L", "2R", "1L").index(port)])
+            for f, m in zip(freqs, s)
+            for port in ("1R", "2L", "2R", "1L")
+            for k, out in enumerate(_OUTPUTS)
+        ]
+        buf = io.StringIO()
+        excitation_csv((freqs, s), buf, ("1R", "2L", "2R", "1L"))
+        assert buf.getvalue() == oracles.excitation_csv_text(rows)
+    buf = io.StringIO()
+    if not n_freqs:
+        with pytest.raises(TouchstoneError, match="empty sweep"):
+            touchstone_write(freqs, s, fmt, buf, unit=unit)
+        return
+    touchstone_write(freqs, s, fmt, buf, unit=unit)
+    text = buf.getvalue()
+    assert text == oracles.touchstone_text(freqs, s, fmt, unit, 50.0, __version__)
+    got = touchstone_read(io.StringIO(text), n_ports=n)
+    want = oracles.touchstone_values(text, n)
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+    assert got[1].shape == want[1].shape
+
+
+# a dB magnitude above about 6165 dB overflows; the message names the first
+# record holding one, whether its column is sweep-constant or not
+DB = "# GHz S DB R 50\n"
+OVERFLOWING = [
+    (DB + "1 0 0\n2 7000 0\n3 7000 0\n", 1, 3),
+    (DB + "1 7000 0\n2 7000 0\n", 1, 2),
+    (DB + "1 0 0 0 0 0 0 7000 0\n2 7000 0 0 0 0 0 7000 0\n", 2, 2),
+    (DB + "1 0 0 0 0 0 0 0 0\n2 0 0 0 0 0 0 7000 0\n3 7000 0 0 0 0 0 7000 0\n", 2, 3),
+    (DB + "1 0 0 0 0 0 0 0 0\n2 0 0 0 0 0 0 0 0\n3 0 0 7000 0 0 0 0 0\n", 2, 4),
+]
+
+
+@pytest.mark.parametrize("slab", [1, 2, touchstone.SLAB])
+@pytest.mark.parametrize("text, n, line", OVERFLOWING)
+def test_db_overflow_names_the_first_record_holding_one(text, n, line, slab):
+    with mock.patch.object(touchstone, "SLAB", slab):
+        with pytest.raises(TouchstoneParseError) as e:
+            touchstone_read(io.StringIO(text), n_ports=n)
+    assert str(e.value) == f"line {line}: entry overflows in the record starting on this line"
+
+
 # --- the slab reader -----------------------------------------------------------
 #
 # A document as wide as the whole text has a ``#`` option line, so its one
@@ -657,6 +732,11 @@ MALFORMED = [
      "line 142: frequency not ascending (arity mismatch?)"),
     (H + _records(1, 133) + "133 0.5", 1,
      "token count 398 is not a multiple of 3 expected for 1 ports"),
+    # numpy reads nan(1), float does not
+    (H + _records(1, 3) + "3 nan(1) 0\n", 1, "line 4: non-numeric token 'nan(1)'"),
+    # a slab of blanks alone holds no number (numpy would read [-1.])
+    (H + _records(1, 3) + " \n\t\n \n" + "3 0.5\n", 1,
+     "token count 8 is not a multiple of 3 expected for 1 ports"),
 ]
 
 
@@ -703,3 +783,22 @@ def test_writing_a_long_ideal_sweep_stays_small(tmp_path):
     # a writer that prints every field of every record peaks at 3.13 MB on
     # this sweep; formatting all records at once would take far more
     assert peak <= 3.13e6
+
+
+def test_converting_a_long_ideal_sweep_stays_small(tmp_path):
+    from butlercad import build_butler_4x4, interconnect
+
+    frequencies = np.linspace(1e9, 10e9, 1001)
+    source, destination = tmp_path / "sweep.s8p", tmp_path / "converted.s8p"
+    touchstone_write(frequencies, interconnect(build_butler_4x4("ideal", 5.2e9), frequencies),
+                     "DB", source)
+    touchstone_convert(source, destination, fmt="MA")  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        touchstone_convert(source, destination, fmt="MA")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a reader that converts every slab with float, and every entry of the
+    # sweep, peaks at 6.72 MB on this convert
+    assert peak <= 6.72e6
