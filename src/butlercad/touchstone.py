@@ -39,12 +39,16 @@ token such as ``1_0`` it does not take whole), one of blanks alone (numpy
 reads it as ``[-1.]``) and one holding a non-finite value (numpy takes
 ``nan(1)``, which ``float`` refuses) is read line by line with ``float``, so
 every message and line number is the line by line reader's
-(``tests/test_float_contract.py`` pins each of these numpy rules).  No
-token list is built.  Both sides convert each sweep-constant entry once:
-``polar`` and the reader's MA/DB decode compute an entry (on the reader's
-side, a field) whose bits equal row 0's in every row from row 0 alone; 48
-of the 64 entries of an ideal Butler are sweep-constant.  The bytes equal
-those of per-entry Python arithmetic because:
+(``tests/test_float_contract.py`` pins each of these numpy rules).  numpy
+2.4 refuses with a ``ValueError``; numpy 1.x only warns
+(``DeprecationWarning``) and returns the numbers before the fault, so that
+warning refuses the slab too.  No token list is built.
+
+Both sides convert each sweep-constant entry once: ``polar`` and the
+reader's MA/DB decode compute an entry (on the reader's side, a field)
+whose bits equal row 0's in every row from row 0 alone; 48 of the 64
+entries of an ideal Butler are sweep-constant.  The bytes equal those of
+per-entry Python arithmetic because:
 
 * magnitudes are ``np.hypot``, which equals ``abs`` of a complex
   (``np.abs`` differs in the last bit);
@@ -63,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import warnings
 from array import array
 from contextlib import nullcontext
 from itertools import repeat
@@ -285,14 +290,19 @@ def _numbers(joined: str) -> np.ndarray | None:
     """The numbers of a slab as numpy reads them, or None where ``float`` must.
 
     None for blanks alone (numpy reads ``[-1.]``), for a slab numpy refuses
-    and for one holding a non-finite value (numpy takes ``nan(1)``).
+    and for one holding a non-finite value (numpy takes ``nan(1)``).  numpy
+    2.4 refuses text it cannot read to its end with a ``ValueError``; numpy
+    1.x only warns (``DeprecationWarning``) and returns the numbers before
+    the fault, so the warning is raised here and refuses the slab too.
     """
     if joined.isspace():
         return None
-    try:
-        numbers = np.fromstring(joined, sep=" ")
-    except ValueError:
-        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            numbers = np.fromstring(joined, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
     return numbers if np.isfinite(numbers).all() else None
 
 
