@@ -31,18 +31,21 @@ formatted once into that template (``bake``): an ideal Butler holds 96 of
 its 128 data fields fixed in every format, so only the other 32 and the
 frequency are formatted per record.  A file name whose ``.sNp`` extension
 names another port count is refused, as the reader would take the count
-from it.  The reader gathers all numbers in one ``array('d')``, taking the
-lines in slabs of ``SLAB``: each slab is joined and read at once by
-``np.fromstring(joined, sep=" ")``, which reads a finite double as ``float``
-does, bit for bit.  A slab numpy refuses (a comment, an option line, a
-token such as ``1_0`` it does not take whole), one of blanks alone (numpy
-reads it as ``[-1.]``) and one holding a non-finite value (numpy takes
-``nan(1)``, which ``float`` refuses) is read line by line with ``float``, so
-every message and line number is the line by line reader's
-(``tests/test_float_contract.py`` pins each of these numpy rules).  numpy
+from it.  The reader reads a document in one numpy parse: it cuts every
+comment, takes out the option line (the one ``#``, the first non-blank
+character of its line) and reads the rest with ``np.fromstring(text,
+sep=" ")``, which reads a finite double as ``float`` does, bit for bit.  Any
+other document goes whole to the line by line loop, which reads with
+``float`` and gives every parse message and its line number: one with a
+second ``#`` or a ``#`` inside a line, one with a line break other than
+LF, and one numpy refuses (a token such as ``1_0`` it does not take
+whole), that holds blanks alone (numpy reads them as ``[-1.]``) or a
+non-finite value (numpy takes ``nan(1)``, which ``float`` refuses).  numpy
 2.4 refuses with a ``ValueError``; numpy 1.x only warns
 (``DeprecationWarning``) and returns the numbers before the fault, so that
-warning refuses the slab too.  No token list is built.
+warning refuses the document too.  ``tests/test_float_contract.py`` pins
+each of these numpy rules, and that a comment ends where
+``str.splitlines`` ends its line.
 
 Both sides convert each sweep-constant entry once: ``polar`` and the
 reader's MA/DB decode compute an entry (on the reader's side, a field)
@@ -85,19 +88,10 @@ FORMATS = ("RI", "MA", "DB")
 
 _EXT_RE = re.compile(r"\.s(\d+)p$", re.IGNORECASE)
 
-# Lines the reader joins at once (see _slabs).  _parse of a 1001-point
-# 8-port MA file (16,019 lines), best and median of 40 interleaved calls,
-# and its tracemalloc peak (Python 3.11, numpy 2.4.6, 2 vCPUs, shared host):
-#
-#   SLAB        best ms  median ms  peak MB
-#   16            17.4      24.1      2.55
-#   64            14.9      20.2      2.59
-#   128           14.5      20.1      2.59
-#   256           14.3      19.8      2.62
-#   512           14.5      20.8      2.65
-#   4096          17.8      26.2      3.09
-#   whole file    29.0      41.0      2.65   (line by line: the file has '#')
-SLAB = 128
+# a comment: "!" up to the first character at which str.splitlines ends a line
+_COMMENT = re.compile(r"![^\n\v\f\r\x1c-\x1e\x85\u2028\u2029]*")
+# those line ends but "\n" that ASCII text can hold
+_OTHER_BREAKS = "\v\f\r\x1c\x1d\x1e"
 
 
 def _varying(*parts: np.ndarray) -> np.ndarray:
@@ -286,110 +280,110 @@ def _locate(text: str, index: int) -> tuple[int, str]:
     raise IndexError(index)
 
 
-def _numbers(joined: str) -> np.ndarray | None:
-    """The numbers of a slab as numpy reads them, or None where ``float`` must.
+def _numbers(text: str) -> np.ndarray | None:
+    """The numbers of ``text`` as numpy reads them, or None where ``float`` must.
 
-    None for blanks alone (numpy reads ``[-1.]``), for a slab numpy refuses
-    and for one holding a non-finite value (numpy takes ``nan(1)``).  numpy
+    None for blanks alone (numpy reads ``[-1.]``), for text numpy refuses
+    and for text holding a non-finite value (numpy takes ``nan(1)``).  numpy
     2.4 refuses text it cannot read to its end with a ``ValueError``; numpy
     1.x only warns (``DeprecationWarning``) and returns the numbers before
-    the fault, so the warning is raised here and refuses the slab too.
+    the fault, so the warning is raised here and refuses the text too.
     """
-    if joined.isspace():
+    if text.isspace():
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            numbers = np.fromstring(joined, sep=" ")
+            numbers = np.fromstring(text, sep=" ")
         except (ValueError, DeprecationWarning):
             return None
     return numbers if np.isfinite(numbers).all() else None
 
 
-def _slabs(text: str, values: array) -> Iterator[tuple[int, str]]:
-    """Append the numbers of each plain slab of ``text`` to ``values``.
-
-    A slab is ``SLAB`` lines, joined and read by numpy at once; the content
-    lines of one it cannot take (``_numbers``) are yielded, numbered, for
-    the caller to read one by one.
-    """
-    lines = text.splitlines()
-    for start in range(0, len(lines), SLAB):
-        slab = lines[start : start + SLAB]
-        numbers = _numbers(" ".join(slab))
-        if numbers is None:
-            yield from _content_lines(slab, start + 1)
-        else:
-            values.frombytes(numbers.tobytes())
-
-
-def _parse(text: str, values: array) -> tuple[float, str, float]:
-    """Append every number of ``text`` to ``values``; return (unit scale, format, z_ref)."""
-    unit_scale = UNITS["GHz"]
-    fmt = "MA"
-    z_ref = 50.0
-    seen_option = False
-    for lineno, line in _slabs(text, values):
-        if line.startswith("#"):
-            if seen_option:
-                raise TouchstoneParseError("second option line", lineno)
-            seen_option = True
-            fields = iter(line[1:].split())
-            for field in fields:
-                word = field.upper()
-                if word in _UNIT_NAMES:
-                    unit_scale = UNITS[_UNIT_NAMES[word]]
-                elif word in FORMATS:
-                    fmt = word
-                elif word in ("Y", "Z", "H", "G"):
-                    raise TouchstoneParseError(f"unsupported parameter type {word}", lineno)
-                elif word == "R":
-                    z_text = next(fields, None)
-                    if z_text is None:
-                        raise TouchstoneParseError("R with no impedance", lineno)
-                    try:
-                        z_ref = float(z_text)
-                    except ValueError:
-                        z_ref = math.nan
-                    if not 0 < z_ref < math.inf:
-                        raise TouchstoneParseError(f"bad impedance {z_text!r}", lineno)
-                elif word != "S":
-                    raise TouchstoneParseError(f"bad option token {word!r}", lineno)
-            continue
-        tokens = line.split()
-        try:
-            values.extend(map(float, tokens))
-        except ValueError:
-            for tok in tokens:
-                try:
-                    float(tok)
-                except ValueError:
-                    raise TouchstoneParseError(f"non-numeric token {tok!r}", lineno) from None
+def _options(text: str, lineno: int) -> tuple[float, str, float]:
+    """(unit scale, format, z_ref) of an option line's ``text`` after its ``#``."""
+    unit_scale, fmt, z_ref = UNITS["GHz"], "MA", 50.0
+    fields = iter(text.split())
+    for field in fields:
+        word = field.upper()
+        if word in _UNIT_NAMES:
+            unit_scale = UNITS[_UNIT_NAMES[word]]
+        elif word in FORMATS:
+            fmt = word
+        elif word in ("Y", "Z", "H", "G"):
+            raise TouchstoneParseError(f"unsupported parameter type {word}", lineno)
+        elif word == "R":
+            z_text = next(fields, None)
+            if z_text is None:
+                raise TouchstoneParseError("R with no impedance", lineno)
+            try:
+                z_ref = float(z_text)
+            except ValueError:
+                z_ref = math.nan
+            if not 0 < z_ref < math.inf:
+                raise TouchstoneParseError(f"bad impedance {z_text!r}", lineno)
+        elif word != "S":
+            raise TouchstoneParseError(f"bad option token {word!r}", lineno)
     return unit_scale, fmt, z_ref
 
 
-def _check_finite(values: array, text: str) -> np.ndarray:
-    """``values`` as an array; a ``TouchstoneParseError`` at the first non-finite one."""
-    numbers = np.frombuffer(values, dtype=float)
-    non_finite = np.flatnonzero(~np.isfinite(numbers))
-    if non_finite.size:
-        lineno, tok = _locate(text, non_finite[0])
-        raise TouchstoneParseError(f"non-finite value {tok!r}", lineno)
-    return numbers
+def _line_by_line(text: str) -> tuple[np.ndarray, float, str, float]:
+    """(numbers, unit scale, format, z_ref) of ``text``, read one line at a time.
+
+    The source of every parse message and line number: each names the
+    first fault in reading order.
+    """
+    values = array("d")
+    options = None
+    for lineno, line in _content_lines(text.splitlines()):
+        if line.startswith("#"):
+            if options:
+                raise TouchstoneParseError("second option line", lineno)
+            options = _options(line[1:], lineno)
+            continue
+        for tok in line.split():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise TouchstoneParseError(f"non-numeric token {tok!r}", lineno) from None
+            if not math.isfinite(values[-1]):
+                raise TouchstoneParseError(f"non-finite value {tok!r}", lineno)
+    return (np.frombuffer(values), *(options or _options("", 0)))
+
+
+def _parse(text: str) -> tuple[np.ndarray, float, str, float]:
+    """(numbers, unit scale, format, z_ref) of ``text``, at once where numpy can read it.
+
+    Comments are cut and the option line, the first ``#`` if it starts its
+    line, is taken out; one ``_numbers`` call reads the rest, which refuses
+    any other ``#``.  Any other document goes whole to ``_line_by_line``.
+    """
+    data = _COMMENT.sub("", text)
+    if not data.isascii() or any(c in data for c in _OTHER_BREAKS):
+        return _line_by_line(text)
+    option, lineno = "", 0
+    at = data.find("#")
+    if at >= 0:
+        start, end = data.rfind("\n", 0, at) + 1, data.find("\n", at)
+        if data[start:at].strip():
+            return _line_by_line(text)
+        option = data[at : None if end < 0 else end]
+        lineno = data.count("\n", 0, at) + 1
+        data = data.replace(option, "", 1)  # one copy, where slicing around it makes two
+    numbers = _numbers(data)
+    if numbers is None:
+        return _line_by_line(text)
+    # a document with a non-finite number went to the loop, which orders that
+    # fault against an option line's
+    return (numbers, *_options(option[1:], lineno))
 
 
 def touchstone_read(
     source: str | Path | TextIO, n_ports: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Parse a Touchstone v1 document into (frequencies in Hz, (F, n, n) stack, z_ref)."""
-    if hasattr(source, "read"):
-        text = source.read()
-        name = getattr(source, "name", "")
-    else:
-        path = Path(source)
-        text = path.read_text(encoding="ascii")
-        name = path.name
-    m = _EXT_RE.search(str(name))
+    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="ascii")
+    m = _EXT_RE.search(str(getattr(source, "name", source)))
     inferred = int(m.group(1)) if m else None
     if n_ports is not None and inferred is not None and n_ports != inferred:
         raise TouchstoneParseError(
@@ -400,14 +394,10 @@ def touchstone_read(
         raise TouchstoneParseError(
             "port count unknown: need a .sNp file name or an explicit n_ports"
         )
+    if n < 1:
+        raise TouchstoneParseError(f"port count must be at least 1, got {n}")
 
-    values = array("d")
-    try:
-        unit_scale, fmt, z_ref = _parse(text, values)
-    except TouchstoneParseError:
-        _check_finite(values, text)  # a non-finite number before the fault comes first
-        raise
-    numbers = _check_finite(values, text)
+    numbers, unit_scale, fmt, z_ref = _parse(text)
     block = 1 + 2 * n * n
     if not numbers.size or numbers.size % block != 0:
         raise TouchstoneParseError(
@@ -427,18 +417,18 @@ def touchstone_read(
     if fmt == "DB":
         varying = _varying(a)
         exponents = _gather(a, varying) / 20.0
-        pending = iter(memoryview(exponents))
         try:
-            magnitudes = np.fromiter(map(pow, repeat(10.0), pending), float, exponents.size)
+            magnitudes = np.fromiter(map(pow, repeat(10.0), memoryview(exponents)), float,
+                                     exponents.size)
         except OverflowError:  # a DB magnitude above about 6165 dB
-            # row 0 is gathered whole and first, so the first failure is in
-            # the earliest record holding one
-            entry = exponents.size - 1 - sum(1 for _ in pending) - n * n
-            record = 0 if entry < 0 else 1 + entry // np.count_nonzero(varying)
-            raise TouchstoneParseError(
-                "entry overflows in the record starting on this line",
-                _locate(text, record * block)[0],
-            ) from None
+            for record, row in enumerate((a / 20.0).tolist()):
+                try:
+                    [10.0**x for x in row]
+                except OverflowError:
+                    raise TouchstoneParseError(
+                        "entry overflows in the record starting on this line",
+                        _locate(text, record * block)[0],
+                    ) from None
         a = _spread(magnitudes, varying, a.shape)
     if stop < len(records):
         lineno = _locate(text, stop * block)[0]

@@ -540,6 +540,20 @@ class TestTouchstoneConvert:
         )
         assert not (tmp_path / "out.s4p").exists()
 
+    @pytest.mark.parametrize(
+        "name, ports, count", [("w.txt", "-1", -1), ("w.txt", "0", 0), ("w.s0p", None, 0)]
+    )
+    def test_a_port_count_below_one_is_one_line(self, tmp_path, capsys, name, ports, count):
+        src = tmp_path / name
+        src.write_text("# GHz S RI R 50\n1 0 0\n")
+        argv = ["touchstone", "convert", str(src), str(tmp_path / "o.txt")]
+        rc = main(argv + ([f"--ports={ports}"] if ports else []))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"butlercad: error: port count must be at least 1, got {count}\n"
+        assert not (tmp_path / "o.txt").exists()
+
     def test_missing_file_single_line(self, capsys, tmp_path):
         rc = main(["touchstone", "convert", str(tmp_path / "no.s1p"),
                    str(tmp_path / "out.s1p")])

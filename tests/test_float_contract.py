@@ -6,10 +6,15 @@ depends on.  If a numpy release changes one of them, the failing test's
 name says which rule broke; the fix then belongs in the library code.
 """
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from butlercad import touchstone
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -21,7 +26,7 @@ _PRINTED = st.builds(
 )
 
 
-# --- the Touchstone slab reader: np.fromstring(joined, sep=" ") -------------------
+# --- the Touchstone one-parse reader: np.fromstring(text, sep=" ") ----------------
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -33,21 +38,49 @@ def test_fromstring_reads_printed_finite_doubles_as_float_does(tokens):
 
 @pytest.mark.parametrize("text", [" ", "   ", "\t", " \t  "])
 def test_fromstring_reads_blanks_alone_as_minus_one(text):
-    # the slab reader sends such a slab to the line by line path
+    # the reader sends such text to the line by line loop
     assert np.fromstring(text, sep=" ").tolist() == [-1.0]
 
 
 @pytest.mark.parametrize("text", ["1_0", "0x10", "1e", "١", "1,2", "2 1_0 3", "1.5.3"])
 def test_fromstring_refuses_a_token_it_cannot_take_whole(text):
-    # a refused slab goes to the line by line path, which names the token
+    # refused text goes to the line by line loop, which names the token
     with pytest.raises(ValueError):
         np.fromstring(text, sep=" ")
 
 
 @pytest.mark.parametrize("text", ["nan(1)", "inf", "1 -inf 2", "nan"])
 def test_fromstring_reads_non_finite_tokens_as_non_finite(text):
-    # float refuses nan(1), so a slab with a non-finite value is read line by line
+    # float refuses nan(1), so text with a non-finite value is read line by line
     assert not np.isfinite(np.fromstring(text, sep=" ")).all()
+
+
+def test_fromstring_separates_numbers_only_at_str_split_whitespace():
+    # the one parse reads between the numbers what the loop's str.split does;
+    # today numpy takes \t \n \v \f \r and space (U+3000 is the last
+    # character str.split takes as whitespace)
+    between = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x only warns
+        for char in map(chr, range(0x3001)):
+            try:
+                if np.fromstring(f"1{char}2", sep=" ").tolist() == [1.0, 2.0]:
+                    between.add(char)
+            except (ValueError, DeprecationWarning):
+                pass
+    assert " " in between
+    assert all(f"1{char}2".split() == ["1", "2"] for char in between), between
+
+
+def test_comment_regex_stops_where_splitlines_ends_a_line():
+    # comments are cut from the whole text at once, so a comment must end
+    # where the loop's str.splitlines ends its line:
+    # \n \v \f \r \x1c-\x1e \x85 \u2028 \u2029 today
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    line_ends = {line[-1] for line in every.splitlines(keepends=True)[:-1]}
+    # each character follows a "!": what the comments leave is where they stop
+    kept = touchstone._COMMENT.sub("", "!" + "!".join(every))
+    assert set(kept) == line_ends and len(kept) == len(line_ends)
 
 
 # --- converting each sweep-constant entry once -----------------------------------

@@ -568,6 +568,34 @@ def test_sweep_constant_columns_are_found_by_their_bits():
     assert fields == ["%.9g"] * 4 and varying.shape == (0, 4)
 
 
+def _forced_loop():
+    """A patch under which ``_numbers`` refuses all text, so the loop reads every document."""
+    return mock.patch.object(touchstone, "_numbers", return_value=None)
+
+
+@pytest.fixture(params=["one parse", "line by line"])
+def reader(request):
+    """Each reader in turn."""
+    if request.param == "one parse":
+        yield
+    else:
+        with _forced_loop():
+            yield
+
+
+def _read(text, n):
+    """The read-back bytes and z_ref of ``text``, or the message of its parse error."""
+    try:
+        frequencies, s, z_ref = touchstone_read(io.StringIO(text), n_ports=n)
+        return frequencies.tobytes(), s.tobytes(), z_ref
+    except TouchstoneParseError as e:
+        return str(e)
+
+
+def _by_the_loop(text, n):
+    with _forced_loop():
+        return _read(text, n)
+
 
 # a dB magnitude above about 6165 dB overflows; the message names the first
 # record holding one, whether its column is sweep-constant or not
@@ -581,26 +609,24 @@ OVERFLOWING = [
 ]
 
 
-@pytest.mark.parametrize("slab", [1, 2, touchstone.SLAB])
 @pytest.mark.parametrize("text, n, line", OVERFLOWING)
-def test_db_overflow_names_the_first_record_holding_one(text, n, line, slab):
-    with mock.patch.object(touchstone, "SLAB", slab):
-        with pytest.raises(TouchstoneParseError) as e:
-            touchstone_read(io.StringIO(text), n_ports=n)
+def test_db_overflow_names_the_first_record_holding_one(text, n, line, reader):
+    with pytest.raises(TouchstoneParseError) as e:
+        touchstone_read(io.StringIO(text), n_ports=n)
     assert str(e.value) == f"line {line}: entry overflows in the record starting on this line"
 
 
-# --- the slab reader -----------------------------------------------------------
+# --- the one-parse reader ------------------------------------------------------
 #
-# A document as wide as the whole text has a ``#`` option line, so its one
-# slab is read line by line: the reader the slabs must reproduce.
+# A document is read by one numpy parse or, whole, by the line by line loop;
+# the loop is the reader the one parse must reproduce.
 
 _BREAKS = ("\n", "\r", "\r\n", "\f")
 
 
 @st.composite
 def _document(draw):
-    """(lines, port count, slab size) of a well-formed document laid out oddly."""
+    """(lines, port count) of a well-formed document laid out oddly."""
     n = draw(st.sampled_from([1, 2]))
     fmt = draw(st.sampled_from(["RI", "MA", "DB"]))
     field = st.floats(-300.0, 300.0) | st.sampled_from([0.0, -0.0, 5e-324])
@@ -611,30 +637,31 @@ def _document(draw):
     option = draw(st.sampled_from(
         ["# GHz S {} R 50", "  # MHz S {} R 75", "#GHz S {} R 50", "\t#hz s {} r 33.3 ! options"]
     ))
-    lines = draw(st.lists(st.sampled_from(["", " ", "! header"]), max_size=3))
+    lines = draw(st.lists(st.sampled_from(["", " ", "! header", "! # a hash"]), max_size=3))
     lines.append(option.format(fmt))
     while tokens:
         take = draw(st.integers(1, 4))
         lead = draw(st.sampled_from(["", " ", "\t"]))
-        tail = draw(st.sampled_from(["", " ", " ! note", "!note"]))
+        tail = draw(st.sampled_from(["", " ", " ! note", "!note", "! #1"]))
         lines.append(lead + " ".join(tokens[:take]) + tail)
         del tokens[:take]
         lines += draw(st.lists(st.sampled_from(["", "   ", "! note"]), max_size=1))
-    return lines, n, draw(st.integers(1, 6))
+    return lines, n
 
 
 def _join(draw, lines):
-    return "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+    """``lines`` ended by newlines alone, or by a mix of line breaks."""
+    breaks = draw(st.sampled_from([("\n",), _BREAKS]))
+    return "".join(line + draw(st.sampled_from(breaks)) for line in lines)
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data(), doc=_document())
-def test_slab_reader_matches_entry_by_entry_reader(data, doc):
-    lines, n, slab = doc
+def test_one_parse_reader_matches_entry_by_entry_reader(data, doc):
+    lines, n = doc
     text = _join(data.draw, lines)
     want = oracles.touchstone_values(text, n)
-    with mock.patch.object(touchstone, "SLAB", slab):
-        got = touchstone_read(io.StringIO(text), n_ports=n)
+    got = touchstone_read(io.StringIO(text), n_ports=n)
     assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
     assert got[2] == want[2]
 
@@ -643,24 +670,36 @@ def test_slab_reader_matches_entry_by_entry_reader(data, doc):
 @given(
     data=st.data(),
     doc=_document(),
-    fault=st.sampled_from(["zero", "nan", "#x", "# GHz", "1 0 0 0", "! note", "1_0"]),
-    edge=st.integers(0, 4),
-    offset=st.sampled_from([-1, 0, 1]),
+    fault=st.sampled_from(["zero", "nan", "#x", "# GHz", "1 0 0 0", "! note", "1_0", "1 # x"]),
 )
-def test_slab_reader_fails_as_the_line_by_line_reader(data, doc, fault, edge, offset):
-    lines, n, slab = doc
-    at = min(max(edge * slab + offset, 0), len(lines))  # a line at or next to a slab edge
-    lines.insert(at, fault)
+def test_one_parse_reader_fails_as_the_line_by_line_reader(data, doc, fault):
+    lines, n = doc
+    lines.insert(data.draw(st.integers(0, len(lines))), fault)
     text = _join(data.draw, lines)
+    assert _read(text, n) == _by_the_loop(text, n)
 
-    def read(size):
-        with mock.patch.object(touchstone, "SLAB", size):
-            try:
-                return [a.tobytes() for a in touchstone_read(io.StringIO(text), n_ports=n)[:2]]
-            except TouchstoneParseError as e:
-                return str(e)
 
-    assert read(slab) == read(len(text) + 1)
+# documents the line by line reader reads, each with its frequencies in Hz
+READABLE = [
+    ("\xa0# MHz S RI R 50\n1 0 0\n", [1e6]),  # U+00A0 is a blank to str.strip
+    ("# GHz S RI R 50\n1 0 0 ! note\v2 0 0\n", [1e9, 2e9]),
+    ("# GHz S RI R 50\n1 0 0 ! note\x1c2 0 0\n", [1e9, 2e9]),
+    ("# GHz S RI R 50\n1 0 0 ! note\r2 0 0\n", [1e9, 2e9]),
+    ("# GHz S RI R 50\n1 0 0 ! note\u20282 0 0\n", [1e9, 2e9]),
+    ("1 0 0\n# MHz S RI R 50\n2 0 0\n", [1e6, 2e6]),  # data before the option line
+    ("# MHz S RI R 50\x1c1 0 0\n2 0 0\n", [1e6, 2e6]),  # an option line ends with its line
+    ("# MHz S RI R 50\u20281 0 0\n2 0 0\n", [1e6, 2e6]),
+    ("! # not an option line\n1 0 0\n# Hz RI\n", [1.0]),
+]
+
+
+@pytest.mark.parametrize("text, frequencies", READABLE)
+def test_odd_documents_read_as_the_line_by_line_reader(text, frequencies):
+    want = oracles.touchstone_values(text, 1)
+    got = touchstone_read(io.StringIO(text), n_ports=1)
+    assert got[0].tolist() == frequencies
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+    assert _read(text, 1) == _by_the_loop(text, 1)
 
 
 H = "# GHz S RI R 50\n"
@@ -679,9 +718,15 @@ MALFORMED = [
     ("# GHz S RI R\n1 0 0\n", 1, "line 1: R with no impedance"),
     ("# GHz S RI R fifty\n1 0 0\n", 1, "line 1: bad impedance 'fifty'"),
     (H + _records(1, 4) + "4 nan 0\n", 1, "line 5: non-finite value 'nan'"),
+    # a non-finite number before a bad option line is the earlier fault
+    ("1 nan 0\n# GHz S QQ R 50\n", 1, "line 1: non-finite value 'nan'"),
+    ("1 0 0 # GHz S RI R 50\n", 1, "line 1: non-numeric token '#'"),
     (H + "1 0 0\n2 0 0\n0.5 0 0\n", 1, "line 4: frequency not ascending (arity mismatch?)"),
     (H + "0 0 0\n", 1, "line 2: frequency 0.0 is not positive"),
     (H + "1 0 0 0 0 0\n", 2, "token count 6 is not a multiple of 9 expected for 2 ports"),
+    ("! header only\n" + H, 1, "token count 0 is not a multiple of 3 expected for 1 ports"),
+    (H + "1 0 0\n", 0, "port count must be at least 1, got 0"),
+    (H + "1 0 0\n", -1, "port count must be at least 1, got -1"),
     ("# GHz S DB R 50\n1 1e4 0\n", 1,
      "line 2: entry overflows in the record starting on this line"),
     (H + "1 0 0\n1e300 0 0\n", 1, "line 3: frequency 1e+300 overflows once scaled to Hz"),
@@ -704,19 +749,26 @@ MALFORMED = [
      "token count 398 is not a multiple of 3 expected for 1 ports"),
     # numpy reads nan(1), float does not
     (H + _records(1, 3) + "3 nan(1) 0\n", 1, "line 4: non-numeric token 'nan(1)'"),
-    # a slab of blanks alone holds no number (numpy would read [-1.])
+    # blanks alone hold no number (numpy would read [-1.])
     (H + _records(1, 3) + " \n\t\n \n" + "3 0.5\n", 1,
      "token count 8 is not a multiple of 3 expected for 1 ports"),
 ]
 
 
-@pytest.mark.parametrize("slab", [1, 2, 3, touchstone.SLAB])
 @pytest.mark.parametrize("text, n, message", MALFORMED, ids=[m for _, _, m in MALFORMED])
-def test_malformed_documents_keep_their_message_and_line(text, n, message, slab):
-    with mock.patch.object(touchstone, "SLAB", slab):
-        with pytest.raises(TouchstoneParseError) as e:
-            touchstone_read(io.StringIO(text), n_ports=n)
+def test_malformed_documents_keep_their_message_and_line(text, n, message, reader):
+    with pytest.raises(TouchstoneParseError) as e:
+        touchstone_read(io.StringIO(text), n_ports=n)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("name", ["x.s0p", "X.S00P"])
+def test_an_extension_naming_no_port_is_refused(name):
+    stream = io.StringIO(H + "1 0 0\n")
+    stream.name = name
+    with pytest.raises(TouchstoneParseError) as e:
+        touchstone_read(stream)
+    assert str(e.value) == "port count must be at least 1, got 0"
 
 
 _fromstring = np.fromstring
@@ -756,68 +808,66 @@ def _commented_butler(n_freqs):
     ids=["butler 3 points", "butler 40 points"] + [m for _, _, m in MALFORMED],
 )
 def test_a_numpy_that_only_warns_on_unmatched_data_reads_the_same(text, n):
-    def read():
-        try:
-            frequencies, s, z_ref = touchstone_read(io.StringIO(text), n_ports=n)
-            return frequencies.tobytes(), s.tobytes(), z_ref
-        except TouchstoneParseError as e:
-            return str(e)
-
-    want = read()
+    want = _read(text, n)
     with mock.patch.object(np, "fromstring", _fromstring_of_numpy_1):
-        assert read() == want
+        assert _read(text, n) == want
 
 
-def test_reading_a_long_sweep_stays_small(tmp_path):
+@pytest.fixture(scope="module")
+def long_ideal_sweep():
+    """A 1001-point ideal Butler sweep from 1 to 10 GHz: (frequencies, stack)."""
     from butlercad import build_butler_4x4, interconnect
 
     frequencies = np.linspace(1e9, 10e9, 1001)
-    path = tmp_path / "sweep.s8p"
-    touchstone_write(frequencies, interconnect(build_butler_4x4("ideal", 5.2e9), frequencies),
-                     "DB", path)
-    touchstone_read(path)  # first-call allocations out of the count
+    return frequencies, interconnect(build_butler_4x4("ideal", 5.2e9), frequencies)
+
+
+@pytest.fixture(scope="module")
+def long_sweep_files(long_ideal_sweep, tmp_path_factory):
+    """The long ideal sweep written in each format: {format: path}."""
+    directory = tmp_path_factory.mktemp("long")
+    files = {fmt: directory / f"sweep_{fmt}.s8p" for fmt in ("RI", "MA", "DB")}
+    for fmt, path in files.items():
+        touchstone_write(*long_ideal_sweep, fmt, path)
+    return files
+
+
+def _traced_peak(call):
+    """tracemalloc peak of ``call()``, run once before so first-call allocations are out."""
+    call()
     tracemalloc.start()
     try:
-        touchstone_read(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the line by line reader peaks at 6.72 MB on this file
-    assert peak <= 6.72e6
 
 
-def test_writing_a_long_ideal_sweep_stays_small(tmp_path):
-    from butlercad import build_butler_4x4, interconnect
+@pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
+def test_a_written_long_sweep_is_read_in_one_parse(long_sweep_files, fmt):
+    with mock.patch.object(touchstone, "_line_by_line", wraps=touchstone._line_by_line) as loop:
+        touchstone_read(long_sweep_files[fmt])
+    assert loop.call_count == 0
 
-    frequencies = np.linspace(1e9, 10e9, 1001)
-    s = interconnect(build_butler_4x4("ideal", 5.2e9), frequencies)
+
+# a reader that took 128-line slabs peaked at 3.54, 4.85 and 5.84 MB on these files,
+# and one that read every line with float at 6.72 MB on the DB file
+@pytest.mark.parametrize("fmt, bound", [("RI", 2.84e6), ("MA", 4.83e6), ("DB", 5.82e6)])
+def test_reading_a_long_sweep_stays_small(long_sweep_files, fmt, bound):
+    assert _traced_peak(lambda: touchstone_read(long_sweep_files[fmt])) <= bound
+
+
+def test_writing_a_long_ideal_sweep_stays_small(long_ideal_sweep, tmp_path):
     path = tmp_path / "sweep.s8p"
-    touchstone_write(frequencies, s, "MA", path)  # first-call allocations out of the count
-    tracemalloc.start()
-    try:
-        touchstone_write(frequencies, s, "MA", path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: touchstone_write(*long_ideal_sweep, "MA", path))
     # a writer that prints every field of every record peaks at 3.13 MB on
     # this sweep; formatting all records at once would take far more
     assert peak <= 3.13e6
 
 
-def test_converting_a_long_ideal_sweep_stays_small(tmp_path):
-    from butlercad import build_butler_4x4, interconnect
-
-    frequencies = np.linspace(1e9, 10e9, 1001)
-    source, destination = tmp_path / "sweep.s8p", tmp_path / "converted.s8p"
-    touchstone_write(frequencies, interconnect(build_butler_4x4("ideal", 5.2e9), frequencies),
-                     "DB", source)
-    touchstone_convert(source, destination, fmt="MA")  # first-call allocations out of the count
-    tracemalloc.start()
-    try:
-        touchstone_convert(source, destination, fmt="MA")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a reader that converts every slab with float, and every entry of the
-    # sweep, peaks at 6.72 MB on this convert
-    assert peak <= 6.72e6
+def test_converting_a_long_ideal_sweep_stays_small(long_sweep_files, tmp_path):
+    destination = tmp_path / "converted.s8p"
+    peak = _traced_peak(lambda: touchstone_convert(long_sweep_files["DB"], destination, fmt="MA"))
+    # a reader that took 128-line slabs peaked at 5.84 MB on this convert, and
+    # one that read every line with float, and converted every entry, at 6.72 MB
+    assert peak <= 5.82e6
