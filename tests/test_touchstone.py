@@ -573,14 +573,26 @@ def _forced_loop():
     return mock.patch.object(touchstone, "_numbers", return_value=None)
 
 
-@pytest.fixture(params=["one parse", "line by line"])
-def reader(request):
-    """Each reader in turn."""
-    if request.param == "one parse":
-        yield
-    else:
+@pytest.fixture(params=["one parse", "line by line", "from a file"])
+def reader(request, tmp_path):
+    r"""``touchstone_read`` of (text, port count) by each reader in turn.
+
+    "from a file" writes the text as it is and reads it back by path, whose
+    read translates each "\r" and "\r\n" to "\n".
+    """
+    def from_stream(text, n):
+        return touchstone_read(io.StringIO(text), n_ports=n)
+
+    def from_file(text, n):
+        path = tmp_path / "document.txt"  # no .sNp extension: ``n`` counts the ports
+        path.write_text(text, encoding="ascii", newline="")
+        return touchstone_read(path, n_ports=n)
+
+    if request.param == "line by line":
         with _forced_loop():
-            yield
+            yield from_stream
+    else:
+        yield from_file if request.param == "from a file" else from_stream
 
 
 def _read(text, n):
@@ -612,7 +624,7 @@ OVERFLOWING = [
 @pytest.mark.parametrize("text, n, line", OVERFLOWING)
 def test_db_overflow_names_the_first_record_holding_one(text, n, line, reader):
     with pytest.raises(TouchstoneParseError) as e:
-        touchstone_read(io.StringIO(text), n_ports=n)
+        reader(text, n)
     assert str(e.value) == f"line {line}: entry overflows in the record starting on this line"
 
 
@@ -758,7 +770,7 @@ MALFORMED = [
 @pytest.mark.parametrize("text, n, message", MALFORMED, ids=[m for _, _, m in MALFORMED])
 def test_malformed_documents_keep_their_message_and_line(text, n, message, reader):
     with pytest.raises(TouchstoneParseError) as e:
-        touchstone_read(io.StringIO(text), n_ports=n)
+        reader(text, n)
     assert str(e.value) == message
 
 
